@@ -32,13 +32,12 @@ from .approx import (
     nu,
     pooled_encoding,
 )
-from .mlp import Mlp, mlp_forward
+from .mlp import Mlp
 from .nnet import (
     DeepSetsModel,
     TrainConfig,
     canonical_grid,
     deepsets_eval,
-    grad,
     grid_error,
     load_checkpoint,
     save_checkpoint,

@@ -9,8 +9,11 @@ config hashes.
 
 import hashlib
 import json
+import math
 
 import numpy as np
+
+from .errors import ConfigError
 
 SCHEMA_VERSION = 1
 
@@ -92,9 +95,21 @@ def dump_file(obj, path):
         fh.write(dumps(obj) + "\n")
 
 
+def _finite_float(literal):
+    """A float literal, or NaN/Infinity; non-finite ones (1e999 too) are refused."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal} (the writer never emits one)")
+    return value
+
+
 def load_file(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON file; an unreadable, malformed or non-finite one is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load JSON from {path}: {exc}") from None
 
 
 def config_hash(obj):

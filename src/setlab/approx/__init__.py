@@ -11,7 +11,6 @@ from .collision import (
     left_shift,
     load_certificate,
     pooled_encoding,
-    rho_lipschitz_estimate,
     save_certificate,
 )
 from .contours import emit_contour_grid, write_contour_csv

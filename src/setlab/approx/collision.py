@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
+# scipy.stats and scipy.optimize are imported inside the searches that use them:
+# they cost more than the rest of `import setlab`, and codec-only users never need them
 from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
 from ..errors import CertMismatch, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, build_face_pair, f_star
@@ -153,40 +153,39 @@ def _gamma_of_cube(phi):
     return g
 
 
-def _newton_polish(g, x, steps):
-    """Square-system Newton on the composed field with central FD Jacobian."""
+def _damped_newton(g, x, steps, stop_tol=0.0):
+    """Square-system damped Newton on a field g with a central-difference
+    Jacobian; probes and iterates stay in [-1, 1]. Returns (x, residual)."""
     n = x.size
     val = g(x)
-    best = np.max(np.abs(val))
+    r = float(np.max(np.abs(val)))
     h = 1e-7
     for _ in range(steps):
-        if best == 0.0:
+        if r <= stop_tol:
             break
         jac = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (g(x + e) - g(x - e)) / (2.0 * h)
+        for j, e in enumerate(h * np.eye(n)):
+            jac[:, j] = (g(np.clip(x + e, -1.0, 1.0)) - g(np.clip(x - e, -1.0, 1.0))) / (2.0 * h)
         try:
             delta = np.linalg.lstsq(jac, -val, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        improved = False
-        for t in (1.0, 0.5, 0.25, 0.125):
+        for t in (1.0, 0.5, 0.25, 0.1):
             cand = np.clip(x + t * delta, -1.0, 1.0)
             cval = g(cand)
-            cres = np.max(np.abs(cval))
-            if cres < best:
-                x, val, best = cand, cval, cres
-                improved = True
+            cres = float(np.max(np.abs(cval)))
+            if cres < r:
+                x, val, r = cand, cval, cres
                 break
-        if not improved:
+        else:
             break
-    return x, best
+    return x, r
 
 
 def _coordinate_polish(g, x, sweeps):
     """Cyclic bounded line searches on the squared residual (derivative-free)."""
+    from scipy import optimize
+
     h = lambda v: float(np.sum(g(v) ** 2))
     best = h(x)
     for _ in range(sweeps):
@@ -247,52 +246,11 @@ def _pwl_interval_zeros(phi, n):
     return [(float(r), z) for r, z in zip(R, Zc)]
 
 
-def _sorted_newton(phi, n, starts, steps, stop_tol):
-    """Damped Newton on the alternating-sum map in sorted coordinates.
+def _sobol_starts(n, count, seed):
+    """count scrambled-Sobol points in the cube [-1, 1]^n."""
+    from scipy.stats import qmc
 
-    The map is a sum of one-dimensional terms, so in unsorted coordinates its
-    zero set carries n! mirror copies — every start chases the nearest copy,
-    which makes the basins far wider than in the cube parameterization.
-    Returns (residual, z) pairs in launch order, stopping early once a start
-    reaches stop_tol.
-    """
-
-    def geval(w):
-        return gamma_batch(-np.sort(-w)[None, :], phi)[0]
-
-    h = 1e-7
-    results = []
-    for w0 in starts:
-        w = w0.copy()
-        val = geval(w)
-        r = float(np.max(np.abs(val)))
-        for _ in range(steps):
-            if r <= stop_tol:
-                break
-            jac = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h
-                jac[:, j] = (geval(np.clip(w + e, -1.0, 1.0)) - geval(np.clip(w - e, -1.0, 1.0))) / (2.0 * h)
-            try:
-                delta = np.linalg.lstsq(jac, -val, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            improved = False
-            for t in (1.0, 0.5, 0.25, 0.1):
-                cand = np.clip(w + t * delta, -1.0, 1.0)
-                cval = geval(cand)
-                cres = float(np.max(np.abs(cval)))
-                if cres < r:
-                    w, val, r = cand, cval, cres
-                    improved = True
-                    break
-            if not improved:
-                break
-        results.append((r, -np.sort(-w)))
-        if r <= stop_tol:
-            break
-    return results
+    return 2.0 * qmc.Sobol(d=n, scramble=True, seed=seed).random(count) - 1.0
 
 
 def _bisect_1d(phi):
@@ -374,33 +332,34 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
                 "best_residual": min((r for r, _ in enum), default=float("inf")),
             })
 
-    # stage 1: Newton in sorted coordinates — deterministic and cheap; the
-    # basins are far wider here than in the cube parameterization
+    # stage 1: Newton in sorted coordinates — deterministic and cheap. The map
+    # is a sum of one-dimensional terms, so in unsorted coordinates its zero
+    # set carries n! mirror copies and every start chases the nearest copy,
+    # which makes the basins far wider than in the cube parameterization
     if (not pool or min(c[0] for c in pool) > stop_tol) and budget.n_starts > 0:
-        sobol = qmc.Sobol(d=n, scramble=True, seed=seed)
-        w_starts = 2.0 * sobol.random(budget.n_starts) - 1.0
-        newton = _sorted_newton(phi, n, w_starts, budget.newton_steps, stop_tol)
-        for idx, (r, z) in enumerate(newton):
-            pool.append((r, len(pool), z))
-        stages.append({
-            "name": "sorted-newton",
-            "starts": len(newton),
-            "best_residual": min(r for r, _ in newton),
-        })
+        def field(w):
+            return gamma_batch(-np.sort(-w)[None, :], phi)[0]
+
+        newton = []
+        for w0 in _sobol_starts(n, budget.n_starts, seed):
+            w, r = _damped_newton(field, w0, budget.newton_steps, stop_tol)
+            newton.append(r)
+            pool.append((r, len(pool), -np.sort(-w)))
+            if r <= stop_tol:
+                break
+        stages.append({"name": "sorted-newton", "starts": len(newton), "best_residual": min(newton)})
 
     # stage 2 (fallback): the cube parameterization turns the boundary field
     # antipodally antisymmetric, so a zero is guaranteed in the interior —
     # multistart Nelder-Mead plus Newton/coordinate polish hunts it down
     if not pool or min(c[0] for c in pool) > stop_tol:
+        from scipy import optimize
+
         g = _gamma_of_cube(phi)
-        face_centers = []
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                c = np.zeros(n)
-                c[j] = sign
-                face_centers.append(c)
-        sobol = qmc.Sobol(d=n, scramble=True, seed=seed + 1)
-        starts = np.concatenate([np.asarray(face_centers), 2.0 * sobol.random(max(budget.n_starts, 1)) - 1.0])
+        face_centers = np.zeros((2 * n, n))  # +e_j, then -e_j, for each axis j
+        face_centers[2 * np.arange(n), np.arange(n)] = 1.0
+        face_centers[2 * np.arange(n) + 1, np.arange(n)] = -1.0
+        starts = np.concatenate([face_centers, _sobol_starts(n, max(budget.n_starts, 1), seed + 1)])
 
         h = lambda x: float(np.sum(g(x) ** 2))
         candidates = []
@@ -417,7 +376,7 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
 
         candidates.sort(key=lambda c: (c["residual"], c["start"]))
         for cand in candidates[: budget.polish_top]:
-            x, r = _newton_polish(g, cand["x"], budget.newton_steps)
+            x, r = _damped_newton(g, cand["x"], budget.newton_steps)
             if r > tol_cert / 4.0:
                 x, r = _coordinate_polish(g, x, budget.coord_sweeps)
             cand["x"], cand["residual"] = x, r
@@ -465,19 +424,3 @@ def error_lower_bound(model, cert):
     err_plus = abs(float(model(cert.x_plus)) - f_star(cert.x_plus))
     err_minus = abs(float(model(cert.x_minus)) - f_star(cert.x_minus))
     return max(err_plus, err_minus)
-
-
-def rho_lipschitz_estimate(model, cert, seed=0, delta=1e-3, samples=64):
-    """Sampled local Lipschitz constant of the model readout around the
-    certificate's pooled latents (reported alongside bounds, never asserted)."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for x in (cert.x_plus, cert.x_minus):
-        s = model.pooled(x)
-        base = float(model.rho_latent(s))
-        for _ in range(samples):
-            u = rng.normal(size=s.size)
-            u /= np.linalg.norm(u)
-            stepped = float(model.rho_latent(s + delta * u))
-            worst = max(worst, abs(stepped - base) / delta)
-    return worst

@@ -79,7 +79,7 @@ class PhiSpec:
     def from_config(cls, cfg):
         try:
             return cls(cfg["kind"], int(cfg["N"]), cfg["params"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed encoder spec: {exc}") from None
 
     def content_hash(self):

@@ -127,8 +127,3 @@ class Mlp:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed network config: {exc}") from None
         return cls(weights, biases, acts)
-
-
-def mlp_forward(net, x):
-    """Affine+activation composition on a single input (in,) or a batch (n, in)."""
-    return net.forward(x)

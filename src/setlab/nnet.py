@@ -60,6 +60,24 @@ class DeepSetsModel:
     def __call__(self, x):
         return self.rho_latent(self.pooled(x))
 
+    def forward_trace(self, X):
+        """Predictions (B, 1) on a batch of canonical rows (B, M), pooled by
+        plain summation, with what backward needs: (pred, trace)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ShapeError(f"expected a batch of set rows, got shape {X.shape}")
+        B, M = X.shape
+        feats, phi_trace = self.phi_net.forward_trace(X.reshape(-1, 1))
+        pred, rho_trace = self.rho_net.forward_trace(feats.reshape(B, M, self.N).sum(axis=1))
+        return pred, (M, phi_trace, rho_trace)
+
+    def backward(self, trace, grad_pred):
+        """Gradients ((phi_wg, phi_bg), (rho_wg, rho_bg)) given d(scalar)/d(pred), shape (B, 1)."""
+        M, phi_trace, rho_trace = trace
+        rho_wg, rho_bg, grad_pooled = self.rho_net.backward(rho_trace, grad_pred)
+        phi_wg, phi_bg, _ = self.phi_net.backward(phi_trace, np.repeat(grad_pooled, M, axis=0))
+        return (phi_wg, phi_bg), (rho_wg, rho_bg)
+
     def to_config(self):
         return {
             "schema": SCHEMA_VERSION,
@@ -72,38 +90,13 @@ class DeepSetsModel:
     def from_config(cls, cfg):
         try:
             return cls(Mlp.from_config(cfg["phi"]), int(cfg["N"]), Mlp.from_config(cfg["rho"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from None
 
 
 def deepsets_eval(model, x):
     """rho(sum phi(x_i)); exactly permutation-invariant."""
     return model(as_set_input(x))
-
-
-def grad(net, X, loss):
-    """Reverse-mode parameter gradient of a scalar batch loss.
-
-    loss maps the raw output array (rows, out_dim) to (value, d value/d output).
-    An Mlp returns (weight_grads, bias_grads); a sum-pooled model treats rows
-    of X as set inputs and returns ((phi_wg, phi_bg), (rho_wg, rho_bg)).
-    """
-    if isinstance(net, DeepSetsModel):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ShapeError(f"expected a batch of set rows, got shape {X.shape}")
-        B, M = X.shape
-        feats, phi_trace = net.phi_net.forward_trace(X.reshape(-1, 1))
-        pooled = feats.reshape(B, M, net.N).sum(axis=1)
-        pred, rho_trace = net.rho_net.forward_trace(pooled)
-        _, g = loss(pred)
-        rho_wg, rho_bg, grad_pooled = net.rho_net.backward(rho_trace, g)
-        phi_wg, phi_bg, _ = net.phi_net.backward(phi_trace, np.repeat(grad_pooled, M, axis=0))
-        return (phi_wg, phi_bg), (rho_wg, rho_bg)
-    out, trace = net.forward_trace(np.atleast_2d(np.asarray(X, dtype=float)))
-    _, g = loss(out)
-    wg, bg, _ = net.backward(trace, np.asarray(g, dtype=float))
-    return wg, bg
 
 
 @dataclass
@@ -134,12 +127,14 @@ class TrainConfig:
         for name in ("M", "N", "epochs", "batch", "n_samples", "grid_resolution"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.step <= 0:
-            raise ConfigError("step size must be positive")
+        if not 0 < self.step < math.inf:
+            raise ConfigError("step size must be positive and finite")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
         self.phi_hidden = tuple(int(h) for h in self.phi_hidden)
         self.rho_hidden = tuple(int(h) for h in self.rho_hidden)
+        if min(self.phi_hidden + self.rho_hidden, default=1) < 1:
+            raise ConfigError("hidden layer widths must be positive")
 
     def to_config(self):
         return {
@@ -199,17 +194,10 @@ def canonical_grid(M, resolution):
     return np.array(list(itertools.combinations_with_replacement(axis, M)))
 
 
-def _batch_eval(model, rows):
-    """Model values on many canonical rows at once (plain-sum pooling)."""
-    B, M = rows.shape
-    feats = model.phi_net.forward(rows.reshape(-1, 1)).reshape(B, M, model.N)
-    return model.rho_net.forward(feats.sum(axis=1))[:, 0]
-
-
 def grid_error(model, task, M, resolution):
     """Max |model - target| over the canonical grid (C(resolution+M-1, M) points)."""
     grid = canonical_grid(M, resolution)
-    return float(np.max(np.abs(_batch_eval(model, grid) - _target(task, grid))))
+    return float(np.max(np.abs(model.forward_trace(grid)[0][:, 0] - _target(task, grid))))
 
 
 def train(config):
@@ -239,6 +227,7 @@ def train(config):
         ["tanh"] * len(config.rho_hidden) + ["identity"],
         seed=config.seed + 1,
     )
+    model = DeepSetsModel(phi, config.N, rho)
 
     losses = []
     for epoch in range(config.epochs):
@@ -250,12 +239,10 @@ def train(config):
         for lo in range(0, n_rows, config.batch):
             idx = order[lo : lo + config.batch]
             xb, yb = X[idx], y[idx]
-            B, M = xb.shape
+            B = xb.shape[0]
 
             with np.errstate(over="ignore", invalid="ignore"):
-                feats, phi_trace = phi.forward_trace(xb.reshape(-1, 1))
-                pooled = feats.reshape(B, M, config.N).sum(axis=1)
-                pred, rho_trace = rho.forward_trace(pooled)
+                pred, trace = model.forward_trace(xb)
                 resid = pred[:, 0] - yb
                 loss = float(np.mean(resid**2))
             if not np.isfinite(loss):
@@ -264,18 +251,13 @@ def train(config):
                 )
             epoch_loss += loss * B
 
-            grad_pred = (2.0 / B) * resid[:, None]
-            rho_wg, rho_bg, grad_pooled = rho.backward(rho_trace, grad_pred)
-            grad_feats = np.repeat(grad_pooled, M, axis=0)
-            phi_wg, phi_bg, _ = phi.backward(phi_trace, grad_feats)
-
+            (phi_wg, phi_bg), (rho_wg, rho_bg) = model.backward(trace, (2.0 / B) * resid[:, None])
             for net, wg, bg in ((rho, rho_wg, rho_bg), (phi, phi_wg, phi_bg)):
                 for i in range(len(net.weights)):
                     net.weights[i] -= lr * wg[i]
                     net.biases[i] -= lr * bg[i]
         losses.append(epoch_loss / n_rows)
 
-    model = DeepSetsModel(phi, config.N, rho)
     metrics = {
         "loss_curve": losses,
         "final_loss": losses[-1],

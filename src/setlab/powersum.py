@@ -68,14 +68,16 @@ def power_sum_encode_batch(X):
     return _encode_sorted(U)
 
 
-def _encode_sorted(U):
-    """Power sums of pre-sorted rows; q-th powers built by cumulative products."""
+def _encode_sorted(U, degree=None):
+    """Power sums q = 1..degree (default: the row length) of pre-sorted rows;
+    q-th powers built by cumulative products."""
     n, m = U.shape
-    out = np.empty((n, m))
+    degree = m if degree is None else degree
+    out = np.empty((n, degree))
     pw = U.copy()
-    for q in range(m):
+    for q in range(degree):
         out[:, q] = kahan_sum(pw, axis=1)
-        if q < m - 1:
+        if q < degree - 1:
             pw *= U
     return out
 
@@ -409,51 +411,29 @@ def varsize_encode(x, codec):
     if x.size == 0:
         return np.zeros(codec.M_max)
     u = canonicalize(x)
-    n, kp = u.size, codec.filler_powers()
-    pw = u.copy()
-    out = np.empty(codec.M_max)
-    for q in range(codec.M_max):
-        out[q] = kahan_sum(pw) - n * kp[q]
-        pw = pw * u
-    return out
+    return _encode_sorted(u[None, :], codec.M_max)[0] - u.size * codec.filler_powers()
 
 
 def varsize_decode(p, codec):
-    """Recover the (possibly empty) descending multiset behind a codec latent.
-
-    The data size M' is not stored, so each candidate size is tried: re-adding
-    M'*k^q recovers the data power sums, whose decode is accepted exactly when
-    re-encoding reproduces p (injectivity across sizes makes the accepted size
-    unique). Any recovered root within 1e-4 of the filler is treated as
-    padding and dropped before verification.
-    """
+    """Recover the (possibly empty) descending multiset behind a codec latent."""
     p = np.asarray(p, dtype=float)
     if p.shape != (codec.M_max,):
         raise DomainError(f"latent must have {codec.M_max} coordinates, got shape {p.shape}")
-    kp = codec.filler_powers()
-    for m in range(codec.M_max + 1):
-        u = _try_varsize(p, codec, kp, m)
-        if u is not None:
-            return u
-    raise InfeasibleLatent(f"latent {p} is not a codec encoding of any set of size <= {codec.M_max}")
-
-
-def _try_varsize(p, codec, kp, m):
-    if m == 0:
-        return np.empty(0) if np.max(np.abs(p)) <= REPRODUCE_TOL else None
-    s = p[:m] + m * kp[:m]
-    out, ok = _decode_batch_masked(s[None, :], m)
-    if not ok[0]:
-        return None
-    u = out[0]
-    u = u[np.abs(u - codec.filler) > 1e-4]
-    if np.max(np.abs(varsize_encode(u, codec) - p)) > REPRODUCE_TOL:
-        return None
-    return u
+    try:
+        return varsize_decode_batch(p[None, :], codec)[0]
+    except InfeasibleLatent:
+        raise InfeasibleLatent(f"latent {p} is not a codec encoding of any set of size <= {codec.M_max}") from None
 
 
 def varsize_decode_batch(P, codec):
-    """Row-wise varsize_decode returning a list of descending multisets."""
+    """Row-wise varsize_decode returning a list of descending multisets.
+
+    The data size M' is not stored, so each candidate size is tried: re-adding
+    M'*k^q recovers the data power sums, whose decode is accepted exactly when
+    re-encoding reproduces the row (injectivity across sizes makes the accepted
+    size unique). Any recovered root within 1e-4 of the filler is treated as
+    padding and dropped before verification.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if P.shape[1] != codec.M_max:
         raise DomainError(f"latent rows must have {codec.M_max} coordinates")

@@ -81,6 +81,8 @@ def test_phispec_validation():
         PhiSpec("spline", 1, [])
     with pytest.raises(ConfigError):
         PhiSpec("polynomial", 2, [[1.0]])
+    with pytest.raises(ConfigError):
+        PhiSpec.from_config({**shifted_linear().to_config(), "N": "one"})
 
 
 def test_phispec_round_trip_and_hash():

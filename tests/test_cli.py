@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import setlab
+from setlab import DeepSetsModel, Mlp
 from setlab.approx import (
     load_certificate,
     random_mlp_encoder,
@@ -32,6 +38,18 @@ TINY_TRAIN = {
 def _write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _run_cli(argv, **env):
+    """Run the setlab command line in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(setlab.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "setlab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+    )
 
 
 def _read_csv(path):
@@ -183,10 +201,55 @@ def test_train_seed_flag_overrides_config(tmp_path):
 
 
 def test_train_invalid_config_exits_two(tmp_path):
-    cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, "M": 0})
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    for override in ({"M": 0}, {"phi_hidden": [0]}, {"rho_hidden": [8, 0]}):
+        cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, **override})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2, override
 
 
 def test_train_divergence_exits_three(tmp_path):
     cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, "step": 1e9, "epochs": 5})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+
+
+def test_train_checkpoint_is_identical_across_blas_thread_counts(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"task": "f_star", "M": 3, "N": 2, "seed": 1, "epochs": 300})
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _run_cli(["train", "--config", cfg, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        checkpoints.append((out / "checkpoint.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
+# unreadable input files
+
+
+def _checkpoint_config():
+    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
+    rho = Mlp.init([2, 4, 1], ["tanh", "identity"], seed=1)
+    return DeepSetsModel(phi, 2, rho).to_config()
+
+
+# command line for (input file, output path), and a valid input it would accept
+JSON_INPUT_COMMANDS = {
+    "collide": (lambda f, out: ["collide", f], shifted_linear().to_config()),
+    "contours --config": (lambda f, out: ["contours", "lse_max", "--config", f, "--out", out], {"a": 2.5}),
+    "contours <checkpoint>": (lambda f, out: ["contours", f, "--out", out], _checkpoint_config()),
+    "train --config": (lambda f, out: ["train", "--config", f, "--out", out], TINY_TRAIN),
+}
+
+
+@pytest.mark.parametrize("flaw", ["missing", "truncated", "NaN", "1e999"])
+@pytest.mark.parametrize("command", sorted(JSON_INPUT_COMMANDS))
+def test_unreadable_json_input_exits_two(tmp_path, command, flaw):
+    argv, valid = JSON_INPUT_COMMANDS[command]
+    text = json.dumps(valid)
+    path = tmp_path / "input.json"
+    if flaw == "truncated":
+        path.write_text(text[: len(text) // 2])
+    elif flaw != "missing":  # a non-finite number in place of the first float literal
+        path.write_text(re.sub(r"-?\d+\.\d+", flaw, text, count=1))
+    proc = _run_cli(argv(str(path), str(tmp_path / "out")))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -52,13 +52,20 @@ def test_mlp_rejects_bad_shapes():
         Mlp([np.eye(2)], [np.zeros(2)], ["softplus"])
 
 
+def _params(net):
+    """Parameter arrays of an Mlp, or of a pooled model (encoder net first)."""
+    if isinstance(net, DeepSetsModel):
+        return _params(net.phi_net) + _params(net.rho_net)
+    return net.weights + net.biases
+
+
 def _flat_params(net):
-    return np.concatenate([a.reshape(-1) for a in net.weights + net.biases])
+    return np.concatenate([a.reshape(-1) for a in _params(net)])
 
 
 def _set_flat_params(net, flat):
     pos = 0
-    for arr in net.weights + net.biases:
+    for arr in _params(net):
         arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
         pos += arr.size
 
@@ -72,8 +79,29 @@ def _analytic_grad(net, X, y):
     out, trace = net.forward_trace(X)
     grad_out = np.zeros_like(out)
     grad_out[:, 0] = 2.0 * (out[:, 0] - y) / X.shape[0]
+    if isinstance(net, DeepSetsModel):
+        (phi_wg, phi_bg), (rho_wg, rho_bg) = net.backward(trace, grad_out)
+        return np.concatenate([a.reshape(-1) for a in phi_wg + phi_bg + rho_wg + rho_bg])
     wg, bg, _ = net.backward(trace, grad_out)
     return np.concatenate([a.reshape(-1) for a in wg + bg])
+
+
+def _fd_rel_error(net, X, y, h=1e-5):
+    """Relative distance of the analytic batch-MSE gradient from central differences."""
+    analytic = _analytic_grad(net, X, y)
+    flat = _flat_params(net)
+    fd = np.empty_like(flat)
+    for i in range(flat.size):
+        bumped = flat.copy()
+        bumped[i] = flat[i] + h
+        _set_flat_params(net, bumped)
+        up = _batch_loss(net, X, y)
+        bumped[i] = flat[i] - h
+        _set_flat_params(net, bumped)
+        down = _batch_loss(net, X, y)
+        fd[i] = (up - down) / (2.0 * h)
+    _set_flat_params(net, flat)
+    return np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-12)
 
 
 def test_linear_model_gradient_closed_form():
@@ -100,28 +128,31 @@ def test_gradient_matches_finite_differences(seed):
     net = Mlp.init([2, 5, 3, 1], ["tanh", "tanh", "identity"], seed=seed)
     X = rng.uniform(-1.0, 1.0, size=(4, 2))
     y = rng.uniform(-1.0, 1.0, size=4)
-    analytic = _analytic_grad(net, X, y)
-    flat = _flat_params(net)
-    h = 1e-5
-    fd = np.empty_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + h
-        _set_flat_params(net, bumped)
-        up = _batch_loss(net, X, y)
-        bumped[i] = flat[i] - h
-        _set_flat_params(net, bumped)
-        down = _batch_loss(net, X, y)
-        fd[i] = (up - down) / (2.0 * h)
-    _set_flat_params(net, flat)
-    rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(analytic), 1e-12)
-    assert rel <= 1e-4
+    assert _fd_rel_error(net, X, y) <= 1e-4
 
 
 def _random_model(n, seed):
     phi = Mlp.init([1, 8, n], ["tanh", "identity"], seed=seed)
     rho = Mlp.init([n, 8, 1], ["tanh", "identity"], seed=seed + 1)
     return DeepSetsModel(phi, n, rho)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pooled_gradient_matches_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    model = _random_model(2 + seed % 2, seed=seed)
+    X = np.sort(rng.uniform(-1.0, 1.0, size=(5, 3)), axis=1)[:, ::-1]
+    y = rng.uniform(-1.0, 1.0, size=5)
+    assert _fd_rel_error(model, X, y) <= 1e-4
+
+
+def test_pooled_forward_matches_single_set_evaluation():
+    model = _random_model(3, seed=4)
+    X = np.sort(np.random.default_rng(4).uniform(-1.0, 1.0, size=(6, 4)), axis=1)[:, ::-1]
+    pred, _ = model.forward_trace(X)
+    np.testing.assert_allclose(pred[:, 0], [model(x) for x in X], rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        model.forward_trace(X[0])
 
 
 def test_deepsets_identity_sums():
@@ -158,6 +189,8 @@ def test_model_dim_validation():
     rho = Mlp.init([3, 4, 1], ["tanh", "identity"], seed=1)
     with pytest.raises(ConfigError):
         DeepSetsModel(phi, 2, rho)
+    with pytest.raises(ConfigError):
+        DeepSetsModel.from_config({**_random_model(2, seed=0).to_config(), "N": "two"})
 
 
 def test_encoder_export_matches_direct_gamma():
@@ -181,6 +214,12 @@ def test_train_config_validation():
         TrainConfig(task="f_star", M=0, N=2, seed=0)
     with pytest.raises(ConfigError):
         TrainConfig(task="f_star", M=3, N=2, seed=0, step=-0.1)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(task="f_star", M=3, N=2, seed=0, step=step)
+    for hidden in ({"phi_hidden": (8, 0)}, {"rho_hidden": (-1,)}):
+        with pytest.raises(ConfigError):
+            TrainConfig(task="f_star", M=3, N=2, seed=0, **hidden)
     with pytest.raises(ConfigError):
         TrainConfig(task="f_star", M=3, N=2, seed=0, decay="exponential")
     cfg = TrainConfig(task="f_star", M=3, N=2, seed=7)
