@@ -3,7 +3,6 @@ collision certificates, and contour grids."""
 
 from .collision import (
     CollisionCertificate,
-    SearchBudget,
     error_lower_bound,
     find_collision,
     gamma,

@@ -22,6 +22,11 @@ from ..errors import CertMismatch, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, build_face_pair, f_star
 from .simplexmap import nu_batch
 
+NM_MAXITER = 600  # Nelder-Mead iterations per stage-2 start
+NEWTON_STEPS = 24  # damped-Newton steps per start (stage 1) or polish (stage 2)
+POLISH_TOP = 5  # stage-2 candidates that get the Newton/coordinate polish
+COORD_SWEEPS = 6  # coordinate line-search sweeps per polished candidate
+
 
 def gamma_batch(Z, phi):
     """Alternating-sum map applied to rows of Z (each a simplex point)."""
@@ -48,27 +53,6 @@ def left_shift(z):
 def pooled_encoding(phi, x):
     """Phi(x) = sum_i phi(x_i)."""
     return phi.eval(np.asarray(x, dtype=float)).sum(axis=0)
-
-
-@dataclass
-class SearchBudget:
-    n_starts: int = 32
-    nm_maxiter: int = 600
-    newton_steps: int = 24
-    polish_top: int = 5
-    coord_sweeps: int = 6
-
-    @classmethod
-    def coerce(cls, value):
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, int):
-            return cls(n_starts=value)
-        if isinstance(value, dict):
-            return cls(**value)
-        raise TypeError(f"cannot interpret budget {value!r}")
 
 
 @dataclass
@@ -247,10 +231,12 @@ def _pwl_interval_zeros(phi, n):
 
 
 def _sobol_starts(n, count, seed):
-    """count scrambled-Sobol points in the cube [-1, 1]^n."""
+    """Scrambled-Sobol points in the cube [-1, 1]^n: count rounded up to a power
+    of two, the only sizes at which Sobol' points keep their balance."""
     from scipy.stats import qmc
 
-    return 2.0 * qmc.Sobol(d=n, scramble=True, seed=seed).random(count) - 1.0
+    log2 = max(count - 1, 0).bit_length()
+    return 2.0 * qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(log2) - 1.0
 
 
 def _bisect_1d(phi):
@@ -280,20 +266,20 @@ def _bisect_1d(phi):
     return np.array([best_t]), trace
 
 
-def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
+def find_collision(phi, M=None, tol_zero=1e-8, budget=32, seed=0):
     """Search for a simplex point whose opposing-face lifts pool identically.
 
     Returns a CollisionCertificate whose phi_residual is at most
     tol_zero * (1 + max|phi|); raises SearchExhausted (with the best residual
     and full trace) if the budget runs out first. A zero of the composed field
     always exists, so exhaustion means the budget was too small, not that no
-    collision exists.
+    collision exists. budget is the number of Sobol starts per stage, rounded
+    up to a power of two.
     """
     n = phi.N
     m = n + 1 if M is None else int(M)
     if m != n + 1:
         raise SizeError(f"collision search requires M = N+1; got N={n}, M={m}")
-    budget = SearchBudget.coerce(budget)
     scale = phi.scale()
     tol_cert = tol_zero * (1.0 + scale)
 
@@ -336,13 +322,13 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
     # is a sum of one-dimensional terms, so in unsorted coordinates its zero
     # set carries n! mirror copies and every start chases the nearest copy,
     # which makes the basins far wider than in the cube parameterization
-    if (not pool or min(c[0] for c in pool) > stop_tol) and budget.n_starts > 0:
+    if (not pool or min(c[0] for c in pool) > stop_tol) and budget > 0:
         def field(w):
             return gamma_batch(-np.sort(-w)[None, :], phi)[0]
 
         newton = []
-        for w0 in _sobol_starts(n, budget.n_starts, seed):
-            w, r = _damped_newton(field, w0, budget.newton_steps, stop_tol)
+        for w0 in _sobol_starts(n, budget, seed):
+            w, r = _damped_newton(field, w0, NEWTON_STEPS, stop_tol)
             newton.append(r)
             pool.append((r, len(pool), -np.sort(-w)))
             if r <= stop_tol:
@@ -359,7 +345,7 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
         face_centers = np.zeros((2 * n, n))  # +e_j, then -e_j, for each axis j
         face_centers[2 * np.arange(n), np.arange(n)] = 1.0
         face_centers[2 * np.arange(n) + 1, np.arange(n)] = -1.0
-        starts = np.concatenate([face_centers, _sobol_starts(n, max(budget.n_starts, 1), seed + 1)])
+        starts = np.concatenate([face_centers, _sobol_starts(n, max(budget, 1), seed + 1)])
 
         h = lambda x: float(np.sum(g(x) ** 2))
         candidates = []
@@ -369,16 +355,16 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
                 x0,
                 method="Nelder-Mead",
                 bounds=[(-1.0, 1.0)] * n,
-                options={"maxiter": budget.nm_maxiter, "xatol": 1e-12, "fatol": 1e-24},
+                options={"maxiter": NM_MAXITER, "xatol": 1e-12, "fatol": 1e-24},
             )
             x = np.clip(res.x, -1.0, 1.0)
             candidates.append({"start": idx, "x": x, "residual": float(np.max(np.abs(g(x))))})
 
         candidates.sort(key=lambda c: (c["residual"], c["start"]))
-        for cand in candidates[: budget.polish_top]:
-            x, r = _damped_newton(g, cand["x"], budget.newton_steps)
+        for cand in candidates[:POLISH_TOP]:
+            x, r = _damped_newton(g, cand["x"], NEWTON_STEPS)
             if r > tol_cert / 4.0:
-                x, r = _coordinate_polish(g, x, budget.coord_sweeps)
+                x, r = _coordinate_polish(g, x, COORD_SWEEPS)
             cand["x"], cand["residual"] = x, r
 
         candidates.sort(key=lambda c: (c["residual"], c["start"]))
@@ -387,7 +373,7 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=None, seed=0):
         stages.append({
             "name": "multistart-nm",
             "starts": len(starts),
-            "nm_maxiter": budget.nm_maxiter,
+            "nm_maxiter": NM_MAXITER,
             "best_residual": candidates[0]["residual"],
         })
 

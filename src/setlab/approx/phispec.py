@@ -36,11 +36,13 @@ class PhiSpec:
             if len(knots) != self.N:
                 raise ConfigError("need one knot list per output dimension")
             for rows in knots:
-                t = np.asarray([r[0] for r in rows], dtype=float)
+                pairs = np.asarray(rows, dtype=float)
+                t = pairs[:, 0] if pairs.ndim == 2 and pairs.shape[1] == 2 else np.empty(0)
                 if t.size < 2 or t[0] != -1.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0):
-                    raise ConfigError("knot abscissae must increase strictly from -1 to 1")
+                    raise ConfigError("knots must be (x, y) pairs with x increasing strictly from -1 to 1")
         elif self.kind == "polynomial":
-            if len(self.params) != self.N or any(len(row) == 0 for row in self.params):
+            rows = [np.asarray(row, dtype=float) for row in self.params]
+            if len(rows) != self.N or any(row.ndim != 1 or row.size == 0 for row in rows):
                 raise ConfigError("need one non-empty coefficient row per output dimension")
         else:
             net = self.params if isinstance(self.params, Mlp) else Mlp.from_config(self.params)

@@ -37,7 +37,7 @@ def cmd_verify(suite="all", seed=0, out_path=None, tol=None, budget=1.0):
     return report
 
 
-def cmd_collide(phi_path, M=None, tol=1e-8, budget=None, out_path=None, seed=0):
+def cmd_collide(phi_path, M=None, tol=1e-8, budget=32, out_path=None, seed=0):
     """Certify a pooled-encoding collision for the encoder stored at phi_path.
 
     M defaults to the only feasible value, one more than the encoder's output
@@ -60,7 +60,10 @@ def _contour_fn(name, params):
     if name == "lse_max":
         if "a" not in params:
             raise ConfigError("lse_max contours need params {\"a\": sharpness} via --config")
-        a = float(params["a"])
+        try:
+            a = float(params["a"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"lse_max sharpness must be a number, got {params['a']!r}") from None
         return lambda v: lse_max(v, a)
     if name == "f_star":
         return f_star
@@ -177,13 +180,20 @@ def _run_train(args):
     return 0
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="setlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", default="all", help="one of: " + ", ".join(SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=None, help="override every check's tolerance")
     p.add_argument(
         "--budget", type=float, default=1.0, help="sample-count multiplier in (0, 1]"
@@ -194,8 +204,8 @@ def _build_parser():
     p = sub.add_parser("collide", help="search for a pooled-encoding collision")
     p.add_argument("phi", help="path to an encoder spec JSON file")
     p.add_argument("--tol", type=float, default=1e-8, help="zero tolerance for the residual")
-    p.add_argument("--budget", type=int, default=None, help="number of search starts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=32, help="search starts per stage, rounded up to a power of two")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the certificate (or failure trace) here")
     p.set_defaults(run=_run_collide)
 
@@ -203,13 +213,13 @@ def _build_parser():
     p.add_argument("fn", help="max, lse_max, f_star, or a checkpoint path")
     p.add_argument("--resolution", type=int, default=201)
     p.add_argument("--config", default=None, help="JSON file of function params, e.g. {\"a\": 2}")
-    p.add_argument("--seed", type=int, default=0, help="accepted for interface parity; grids are deterministic")
+    p.add_argument("--seed", type=_seed, default=0, help="accepted for interface parity; grids are deterministic")
     p.add_argument("--out", required=True, help="write the CSV grid here")
     p.set_defaults(run=_run_contours)
 
     p = sub.add_parser("train", help="train a sum-decomposition model from a JSON config")
     p.add_argument("--config", required=True, help="path to a training config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the config file's seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config file's seed")
     p.add_argument("--out", required=True, help="directory for checkpoint, metrics, and encoder")
     p.set_defaults(run=_run_train)
 
@@ -223,7 +233,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SetlabError as exc:
+    except (SetlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

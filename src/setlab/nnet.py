@@ -131,6 +131,8 @@ class TrainConfig:
             raise ConfigError("step size must be positive and finite")
         if self.seed is None:
             raise ConfigError("seed is mandatory")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         self.phi_hidden = tuple(int(h) for h in self.phi_hidden)
         self.rho_hidden = tuple(int(h) for h in self.rho_hidden)
         if min(self.phi_hidden + self.rho_hidden, default=1) < 1:

@@ -28,6 +28,7 @@ REPRODUCE_TOL = 1e-6  # recovered multiset must reproduce the latent this well
 
 ABERTH_MAX_ITER = 200
 ABERTH_TOL = 1e-13
+FIT_STEPS = 12  # Gauss-Newton steps of each repair fit
 
 
 def kahan_sum(terms, axis=-1):
@@ -107,13 +108,14 @@ def elementary_to_monic(e):
     return e * signs
 
 
-def aberth_roots(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
+def aberth_roots(coeffs):
     """Simultaneous root iteration for a batch of monic real polynomials.
 
     coeffs: (n, M+1) with coeffs[:, 0] = 1. Returns complex roots (n, M).
     Iterates the Aberth-Ehrlich correction w_i / (1 - w_i * sum_{j!=i}
-    1/(z_i - z_j)) with w = P/P' until every correction falls below tol
-    (relative to 1 + |z|), then applies one Newton polish per root.
+    1/(z_i - z_j)) with w = P/P' until every correction falls below
+    ABERTH_TOL (relative to 1 + |z|) or ABERTH_MAX_ITER passes are spent,
+    then applies one Newton polish per root.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n, mp1 = coeffs.shape
@@ -127,7 +129,7 @@ def aberth_roots(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
     active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         za = z[active]
         pv, dpv = _horner_pair(coeffs[active], za)
         # pairwise reciprocal differences; diagonal set to 1 and its
@@ -141,7 +143,7 @@ def aberth_roots(coeffs, max_iter=ABERTH_MAX_ITER, tol=ABERTH_TOL):
             corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
         corr = np.where(pv == 0, 0.0, corr)
         z[active] = za - corr
-        done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= tol
+        done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= ABERTH_TOL
         idx = np.flatnonzero(active)
         active[idx[done]] = False
         if not active.any():
@@ -223,53 +225,56 @@ def _polish_center(coeffs, mu, mult, leash):
     return z if abs(z - mu) <= leash else mu
 
 
-def _realize(roots, imag_tol=IMAG_TOL, slack=DOMAIN_SLACK):
+def _realize(roots):
     """Project near-real roots to the axis and clamp to [-1, 1], or None."""
-    if np.max(np.abs(roots.imag)) > imag_tol:
+    if np.max(np.abs(roots.imag)) > IMAG_TOL:
         return None
     real = roots.real
-    if np.max(np.abs(real)) > 1.0 + slack:
+    if np.max(np.abs(real)) > 1.0 + DOMAIN_SLACK:
         return None
     return np.sort(np.clip(real, -1.0, 1.0))[::-1].copy()
 
 
-def _reproduces(u_sorted, p, tol=REPRODUCE_TOL):
-    return np.max(np.abs(_encode_sorted(u_sorted[None, :])[0] - p)) <= tol
+def _reproduces(u_sorted, p):
+    return np.max(np.abs(_encode_sorted(u_sorted[None, :])[0] - p)) <= REPRODUCE_TOL
 
 
-def _fit_values(v, counts, p, steps=12):
-    """Gauss-Newton on distinct values with fixed multiplicities against p.
+def _within_size_bound(P, m, shift=0.0):
+    """Rows of P + shift that could be power sums of m elements of [-1, 1].
 
-    Iterates are clipped to [-1, 1] (the init too), so the fit can only ever
-    propose domain-feasible multisets.
+    Such power sums satisfy |sum_i x_i^q| <= m for every q. The slack covers
+    REPRODUCE_TOL and the rounding of the shift, so any row whose decode would
+    re-encode to within REPRODUCE_TOL passes.
+    """
+    slack = REPRODUCE_TOL + 2.0**-52 * (np.abs(shift) + m)
+    return np.all(np.abs(P + shift) <= m + slack, axis=1)
+
+
+def _fit_multiset(v, counts, p):
+    """Gauss-Newton on distinct values v with fixed multiplicities against p;
+    returns the descending multiset with each value repeated by its count.
+
+    A root cluster perturbs nearby simple roots beyond the reproduction
+    tolerance; fitting the value/multiplicity structure directly against p
+    removes that error when the structure is correct. Iterates are clipped to
+    [-1, 1] (the init too), so the fit only proposes domain-feasible multisets.
     """
     q = np.arange(1.0, p.size + 1.0)[:, None]
+    w = np.asarray(counts, dtype=float)
     v = np.clip(v, -1.0, 1.0)
     best, best_err = v, np.inf
-    for _ in range(steps):
-        resid = (counts * v ** q).sum(axis=1) - p
+    for _ in range(FIT_STEPS):
+        resid = (w * v ** q).sum(axis=1) - p
         err = np.max(np.abs(resid))
         if err < best_err:
             best, best_err = v.copy(), err
         if err == 0.0:
             break
-        jac = counts * q * v ** (q - 1.0)
+        jac = w * q * v ** (q - 1.0)
         step = np.linalg.lstsq(jac, resid, rcond=None)[0]
         if not np.all(np.isfinite(step)):
             break
         v = np.clip(v - step, -1.0, 1.0)
-    return best
-
-
-def _refine_multiset(u_sorted, p, steps=12):
-    """Gauss-Newton on the distinct values of u against the target power sums.
-
-    A root cluster perturbs nearby simple roots beyond the reproduction
-    tolerance; polishing the value/multiplicity structure directly against p
-    removes that error when the structure is correct.
-    """
-    vals, counts = np.unique(u_sorted, return_counts=True)
-    best = _fit_values(vals.copy(), counts.astype(float), p, steps)
     return np.sort(np.repeat(best, counts))[::-1]
 
 
@@ -284,6 +289,29 @@ def _block_structures(m):
     return out
 
 
+def _repair(roots, coeffs, p):
+    """The multiset behind one row whose plain roots miss p, or None."""
+    # multiple roots splay into small complex rings, so walk the clusterings
+    # of the dendrogram, polish each cluster center, refit the realized
+    # multiset against p, and accept the first that reproduces it
+    for labels in _linkage_groupings(roots):
+        u = _realize(_merge_groups(roots, labels, coeffs))
+        if u is not None:
+            u = _fit_multiset(*np.unique(u, return_counts=True), p)
+            if _reproduces(u, p):
+                return u
+    # nearby multiple roots splay into overlapping rings no clustering can
+    # separate, but the sorted real parts still split into blocks per true
+    # root; fit every block structure directly against p
+    r = np.sort(roots.real)
+    for counts in _block_structures(roots.size):
+        bounds = np.cumsum((0,) + counts)
+        u = _fit_multiset([r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])], counts, p)
+        if _reproduces(u, p):
+            return u
+    return None
+
+
 def _decode_batch_masked(P, m):
     """Decode rows of power sums; returns (multisets, ok_mask)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -292,53 +320,27 @@ def _decode_batch_masked(P, m):
     _check_m(m)
     if not np.all(np.isfinite(P)):
         raise DomainError("latent vector contains non-finite entries")
-    n = P.shape[0]
-    coeffs = elementary_to_monic(power_sums_to_elementary(P))
+    out = np.zeros(P.shape)
+    ok = np.zeros(P.shape[0], dtype=bool)
+    # a row past the size bound has no decode; refusing it before root finding
+    # also keeps latents whose polynomial overflows away from the root finder
+    rows = np.flatnonzero(_within_size_bound(P, m))
+    coeffs = elementary_to_monic(power_sums_to_elementary(P[rows]))
     roots = aberth_roots(coeffs)
-
-    out = np.zeros((n, m))
-    ok = np.zeros(n, dtype=bool)
 
     # fast path: vectorized feasibility + reproduction check
     imag_ok = np.max(np.abs(roots.imag), axis=1) <= IMAG_TOL
-    real = np.clip(roots.real, -1.0, 1.0)
     dom_ok = np.max(np.abs(roots.real), axis=1) <= 1.0 + DOMAIN_SLACK
-    cand = np.sort(real, axis=1)[:, ::-1]
-    plain = imag_ok & dom_ok
-    if plain.any():
-        rep = np.max(np.abs(_encode_sorted(cand[plain]) - P[plain]), axis=1) <= REPRODUCE_TOL
-        idx = np.flatnonzero(plain)[rep]
-        out[idx] = cand[np.flatnonzero(plain)[rep]]
-        ok[idx] = True
+    cand = np.sort(np.clip(roots.real, -1.0, 1.0), axis=1)[:, ::-1]
+    plain = np.flatnonzero(imag_ok & dom_ok)
+    rep = plain[np.max(np.abs(_encode_sorted(cand[plain]) - P[rows[plain]]), axis=1) <= REPRODUCE_TOL]
+    out[rows[rep]] = cand[rep]
+    ok[rows[rep]] = True
 
-    # slow path: multiple roots splay into small complex rings, so walk the
-    # clusterings of the dendrogram, polish each cluster center, refine the
-    # realized multiset against p, and accept the first that reproduces it
-    for i in np.flatnonzero(~ok):
-        for labels in _linkage_groupings(roots[i]):
-            u = _realize(_merge_groups(roots[i], labels, coeffs[i]))
-            if u is None:
-                continue
-            u = _refine_multiset(u, P[i])
-            if _reproduces(u, P[i]):
-                out[i] = u
-                ok[i] = True
-                break
-        if ok[i]:
-            continue
-        # nearby multiple roots splay into overlapping rings no clustering can
-        # separate, but the sorted real parts still split into blocks per true
-        # root; fit every block structure directly against p
-        r = np.sort(roots[i].real)
-        for counts in _block_structures(m):
-            bounds = np.cumsum((0,) + counts)
-            v0 = np.array([r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
-            v = _fit_values(v0, np.asarray(counts, dtype=float), P[i])
-            u = np.sort(np.repeat(v, counts))[::-1]
-            if _reproduces(u, P[i]):
-                out[i] = u
-                ok[i] = True
-                break
+    for j in np.flatnonzero(~ok[rows]):
+        u = _repair(roots[j], coeffs[j], P[rows[j]])
+        if u is not None:
+            out[rows[j]], ok[rows[j]] = u, True
     return out, ok
 
 
@@ -346,8 +348,9 @@ def power_sum_decode(p, M):
     """Recover the descending multiset whose power sums are p.
 
     Raises InfeasibleLatent when p is not (within tolerance) the encoding of
-    any multiset of [-1, 1]^M: recovered roots with |imag| > 1e-6, roots
-    outside [-1, 1] by more than 1e-6, or a power-sum mismatch beyond 1e-6.
+    any multiset of [-1, 1]^M: a power sum beyond M in magnitude, recovered
+    roots with |imag| > 1e-6, roots outside [-1, 1] by more than 1e-6, or a
+    power-sum mismatch beyond 1e-6.
     """
     out, ok = _decode_batch_masked(np.asarray(p, dtype=float)[None, :], M)
     if not ok[0]:
@@ -428,38 +431,33 @@ def varsize_decode(p, codec):
 def varsize_decode_batch(P, codec):
     """Row-wise varsize_decode returning a list of descending multisets.
 
-    The data size M' is not stored, so each candidate size is tried: re-adding
-    M'*k^q recovers the data power sums, whose decode is accepted exactly when
-    re-encoding reproduces the row (injectivity across sizes makes the accepted
-    size unique). Any recovered root within 1e-4 of the filler is treated as
-    padding and dropped before verification.
+    The data size M' is not stored. Re-adding M'*k^q recovers the data power
+    sums, and a set of m elements of [-1, 1] has |sum_i x_i^q| <= m for every
+    q, so with |k| >= 1.5 the latent rules out almost every wrong size. Each
+    row is decoded only at the sizes m = 0..M_max that pass this bound,
+    smallest first, and accepted at the first size whose decode re-encodes to
+    the row (injectivity across sizes makes the accepted size unique).
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if P.shape[1] != codec.M_max:
         raise DomainError(f"latent rows must have {codec.M_max} coordinates")
+    if not np.all(np.isfinite(P)):
+        raise DomainError("latent vector contains non-finite entries")
     kp = codec.filler_powers()
     results = [None] * P.shape[0]
     unresolved = np.ones(P.shape[0], dtype=bool)
-
-    zero = np.max(np.abs(P), axis=1) <= REPRODUCE_TOL
-    for i in np.flatnonzero(zero):
-        results[i] = np.empty(0)
-    unresolved[zero] = False
-
-    for m in range(1, codec.M_max + 1):
-        rows = np.flatnonzero(unresolved)
+    for m in range(codec.M_max + 1):
+        rows = np.flatnonzero(unresolved & _within_size_bound(P, m, m * kp))
         if rows.size == 0:
-            break
-        s = P[rows, :m] + m * kp[:m]
-        out, ok = _decode_batch_masked(s, m)
-        for j, i in enumerate(rows):
-            if not ok[j]:
-                continue
-            u = out[j]
-            u = u[np.abs(u - codec.filler) > 1e-4]
-            if np.max(np.abs(varsize_encode(u, codec) - P[i])) <= REPRODUCE_TOL:
-                results[i] = u
-                unresolved[i] = False
+            continue
+        if m == 0:
+            out, ok = np.empty((rows.size, 0)), np.ones(rows.size, dtype=bool)
+        else:
+            out, ok = _decode_batch_masked(P[rows, :m] + m * kp[:m], m)
+        ok &= np.max(np.abs(_encode_sorted(out, codec.M_max) - m * kp - P[rows]), axis=1) <= REPRODUCE_TOL
+        for i, u in zip(rows[ok], out[ok]):
+            results[i] = u
+        unresolved[rows[ok]] = False
     if unresolved.any():
         bad = int(np.flatnonzero(unresolved)[0])
         raise InfeasibleLatent(f"row {bad} is not a codec encoding of any set of size <= {codec.M_max}")

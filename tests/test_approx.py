@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_phispec_validation():
         PhiSpec("polynomial", 2, [[1.0]])
     with pytest.raises(ConfigError):
         PhiSpec.from_config({**shifted_linear().to_config(), "N": "one"})
+    # knots and coefficients that are not numbers of the right shape
+    for kind, params in [
+        ("piecewise_linear", [[[-1.0], [1.0]]]),
+        ("piecewise_linear", [["", ""]]),
+        ("piecewise_linear", [[[-1.0, "a"], [1.0, 2.0]]]),
+        ("polynomial", [["a"]]),
+        ("polynomial", [[[1.0]]]),
+    ]:
+        with pytest.raises(ConfigError):
+            PhiSpec.from_config({"kind": kind, "N": 1, "params": params})
 
 
 def test_phispec_round_trip_and_hash():
@@ -263,11 +274,21 @@ def test_find_collision_random_encoders(n):
 def test_find_collision_budget_exhaustion():
     phi = random_mlp_encoder(2, seed=9)
     with pytest.raises(SearchExhausted) as info:
-        find_collision(phi, tol_zero=0.0, budget={"n_starts": 2, "nm_maxiter": 40, "newton_steps": 0, "polish_top": 1, "coord_sweeps": 0})
+        find_collision(phi, tol_zero=0.0, budget=2)
     assert info.value.best_residual > 0.0
     # both stages ran: 2 sorted-newton starts, then 2n face centers + 2 more
     assert info.value.trace["starts"] == 2 + (4 + 2)
     assert [s["name"] for s in info.value.trace["stages"]] == ["sorted-newton", "multistart-nm"]
+
+
+def test_find_collision_sobol_starts_keep_their_balance():
+    # a start count that is not a power of two is rounded up, so scipy never
+    # warns that the Sobol' points lose their balance
+    phi = random_mlp_encoder(2, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = find_collision(phi, budget=3)
+    assert cert.search_trace["stages"][0]["starts"] <= 4
 
 
 def test_find_collision_size_check():

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import setlab
 from setlab import DeepSetsModel, Mlp
@@ -154,6 +156,9 @@ def test_contours_lse_max_needs_params_and_saturates(tmp_path):
     values = {(x, y): v for x, y, v in _read_csv(out)}
     for t in (-1.0, 0.0, 1.0):
         assert values[(t, t)] == t + math.log(2.0) / 2.0
+    for a in (None, "two", [2.0]):
+        cfg = _write_json(tmp_path / "params.json", {"a": a})
+        assert main(["contours", "lse_max", "--config", cfg, "--resolution", "3", "--out", str(out)]) == 2
 
 
 def test_contours_max_is_exact(tmp_path):
@@ -201,9 +206,29 @@ def test_train_seed_flag_overrides_config(tmp_path):
 
 
 def test_train_invalid_config_exits_two(tmp_path):
-    for override in ({"M": 0}, {"phi_hidden": [0]}, {"rho_hidden": [8, 0]}):
+    for override in ({"M": 0}, {"phi_hidden": [0]}, {"rho_hidden": [8, 0]}, {"seed": -1}):
         cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, **override})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2, override
+
+
+@pytest.mark.parametrize("command", ["verify", "collide", "contours", "train"])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, command):
+    argv = {
+        "verify": ["verify"],
+        "collide": ["collide", "phi.json"],
+        "contours": ["contours", "max", "--out", str(tmp_path / "g.csv")],
+        "train": ["train", "--config", "cfg.json", "--out", str(tmp_path / "run")],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert info.value.code == 2
+
+
+def test_train_output_path_that_is_a_file_exits_two(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", TINY_TRAIN)
+    blocker = tmp_path / "run"
+    blocker.write_text("")
+    assert main(["train", "--config", cfg, "--out", str(blocker)]) == 2
 
 
 def test_train_divergence_exits_three(tmp_path):
@@ -253,3 +278,43 @@ def test_unreadable_json_input_exits_two(tmp_path, command, flaw):
     proc = _run_cli(argv(str(path), str(tmp_path / "out")))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# fuzzed input files: numbers stay small, so that a fuzzed config that happens
+# to be valid trains a tiny model or draws a small grid
+def _json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-16, 16) | st.floats(-16.0, 16.0) | st.text(max_size=8),
+    _json_containers,
+    max_leaves=12,
+)
+
+
+@st.composite
+def input_files(draw, valid):
+    """Raw bytes, an arbitrary JSON value, or the valid input with one value replaced."""
+    kind = draw(st.sampled_from(["bytes", "json", "edit"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(json_values)).encode()
+    key = draw(st.sampled_from(sorted(valid)))
+    return json.dumps({**valid, key: draw(json_values)}).encode()
+
+
+@pytest.mark.parametrize("command", sorted(JSON_INPUT_COMMANDS))
+def test_fuzzed_json_input_keeps_the_exit_code_contract(tmp_path, command):
+    argv, valid = JSON_INPUT_COMMANDS[command]
+    path, out = tmp_path / "input.json", str(tmp_path / "out")
+    extra = ["--resolution", "5"] if command.startswith("contours") else []
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(input_files(valid))
+    def run(content):
+        path.write_bytes(content)
+        assert main(argv(str(path), out) + extra) in (0, 1, 2, 3)
+
+    run()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setlab import DomainError, InfeasibleLatent, SizeError, VarSizeCodec
+from setlab import DomainError, InfeasibleLatent, SizeError, VarSizeCodec, powersum
 from setlab.powersum import (
     aberth_roots,
     elementary_to_monic,
@@ -83,6 +84,8 @@ def test_decode_rejects_infeasible():
         power_sum_decode([0.0, -10.0], 2)
     with pytest.raises(InfeasibleLatent):
         power_sum_decode([5.0, 1.0], 2)  # mean outside the domain
+    with pytest.raises(InfeasibleLatent):
+        power_sum_decode([1e300, 1e300, 1e300], 3)  # its polynomial overflows
 
 
 def test_decode_validates_input():
@@ -176,15 +179,55 @@ def test_varsize_encode_examples():
     np.testing.assert_array_equal(varsize_encode([], codec), [0.0, 0.0, 0.0])
 
 
-def test_varsize_round_trip_all_sizes():
-    codec = VarSizeCodec(M_max=5)
+@pytest.mark.parametrize(
+    "M_max, filler",
+    # (2, -1.5) and (3, 1.5): a genuine latent can pass the size bound at two
+    # sizes ({-0.9, -0.9} at filler -1.5 passes it at size 1 too); (4, 1e4) and
+    # (4, 1e6): the latent rounds m * filler^q, and the bound's slack must still
+    # admit the true size ({1, 1, 1} at filler 1e4 reads 4 > 3 at q = 4)
+    [(5, 2.0), (1, 2.0), (2, -1.5), (3, 1.5), (4, 1e4), (4, 1e6)],
+)
+def test_varsize_round_trip_all_sizes(M_max, filler):
+    codec = VarSizeCodec(M_max=M_max, filler=filler)
     rng = np.random.default_rng(8)
+    grid = np.linspace(-1.0, 1.0, 5)
     for m in range(codec.M_max + 1):
-        for _ in range(40):
-            x = rng.uniform(-1.0, 1.0, size=m)
-            got = varsize_decode(varsize_encode(x, codec), codec)
+        sets = [rng.uniform(-1.0, 1.0, size=m) for _ in range(40)] + [np.full(m, -0.9)]
+        sets += [np.array(x) for x in itertools.combinations_with_replacement(grid, m)]
+        checked = 0
+        for x in sets:
+            p = varsize_encode(x, codec)
+            # the size-m decode reads the power sums q <= m off p, which keeps
+            # them only to about the ulp of m * filler^q; sets a large filler
+            # rounds off by more than 1e-9 are beyond any decoder
+            if m and np.max(np.abs(p[:m] + m * codec.filler_powers()[:m] - power_sum_encode(x))) > 1e-9:
+                continue
+            got = varsize_decode(p, codec)
             assert got.size == m
-            np.testing.assert_allclose(got, np.sort(x)[::-1], atol=1e-6)
+            np.testing.assert_allclose(varsize_encode(got, codec), p, atol=1e-6, rtol=0)
+            # repeated values may come back splayed within that tolerance
+            # (ROADMAP item 2); distinct ones must come back themselves
+            if np.unique(x).size == m:
+                np.testing.assert_allclose(got, np.sort(x)[::-1], atol=1e-6)
+            checked += 1
+        assert checked > 0
+
+
+def test_varsize_decode_tries_each_row_at_its_own_size_only(monkeypatch):
+    codec = VarSizeCodec(M_max=6)
+    rng = np.random.default_rng(10)
+    sets = [rng.uniform(-1.0, 1.0, size=m) for m in range(codec.M_max + 1) for _ in range(5)]
+    rows = []
+    decode = powersum._decode_batch_masked
+
+    def counting(P, m):
+        rows.append(len(P))
+        return decode(P, m)
+
+    monkeypatch.setattr(powersum, "_decode_batch_masked", counting)
+    got = varsize_decode_batch(np.array([varsize_encode(x, codec) for x in sets]), codec)
+    assert [u.size for u in got] == [x.size for x in sets]
+    assert sum(rows) == sum(x.size > 0 for x in sets)
 
 
 def test_varsize_decode_batch_matches_scalar():
@@ -214,6 +257,11 @@ def test_varsize_validation():
         varsize_decode(np.zeros(2), codec)
     with pytest.raises(InfeasibleLatent):
         varsize_decode(np.array([5.0, -100.0, 3.0]), codec)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            varsize_decode(np.array([0.0, 0.0, bad]), codec)
+        with pytest.raises(DomainError):
+            varsize_decode_batch(np.array([varsize_encode([0.5], codec), [bad, 0.0, 0.0]]), codec)
 
 
 def test_varsize_negative_filler():
