@@ -38,6 +38,7 @@ from .nnet import (
     TrainConfig,
     canonical_grid,
     deepsets_eval,
+    deepsets_eval_batch,
     grid_error,
     load_checkpoint,
     save_checkpoint,

@@ -21,7 +21,7 @@ SCHEMA_VERSION = 1
 def format_float(value):
     """17-significant-digit decimal form of a finite double."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value!r}")
     return format(value, ".17g")
 
@@ -30,12 +30,8 @@ def to_jsonable(obj):
     """Recursively convert numpy containers/scalars to plain Python."""
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

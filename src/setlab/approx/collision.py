@@ -11,7 +11,7 @@ caps how well any rho(sum phi) model can track that target.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,18 +70,7 @@ class CollisionCertificate:
     phi_hash: str
 
     def to_config(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "M": self.M,
-            "N": self.N,
-            "z_star": self.z_star,
-            "x_plus": self.x_plus,
-            "x_minus": self.x_minus,
-            "phi_residual": self.phi_residual,
-            "f_gap": self.f_gap,
-            "search_trace": self.search_trace,
-            "phi_hash": self.phi_hash,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_config(cls, cfg):

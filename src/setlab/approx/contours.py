@@ -12,13 +12,16 @@ from ..errors import ConfigError, UnsupportedDim
 
 
 def emit_contour_grid(fn, M=2, resolution=201):
-    """Evaluate fn on a resolution x resolution grid; rows of (x, y, value)."""
+    """Rows (x, y, value) of fn on a resolution x resolution grid. fn maps an
+    (n, 2) array of points to n values and is called once per x value, so its
+    working memory does not grow with the grid."""
     if M != 2:
         raise UnsupportedDim(f"contour grids are planar only (M=2), got M={M}")
     if not resolution >= 2:
         raise ConfigError(f"resolution must be at least 2, got {resolution}")
     axis = np.linspace(-1.0, 1.0, int(resolution))
-    return [(float(x), float(y), float(fn(np.array([x, y])))) for x in axis for y in axis]
+    values = [np.asarray(fn(np.column_stack([np.full_like(axis, x), axis])), dtype=float) for x in axis]
+    return [(float(x), float(y), float(v)) for x, column in zip(axis, values) for y, v in zip(axis, column)]
 
 
 def write_contour_csv(rows, path):

@@ -24,7 +24,7 @@ from .approx import (
     write_contour_csv,
 )
 from .errors import ConfigError, DivergenceError, SearchExhausted, SetlabError
-from .nnet import TrainConfig, deepsets_eval, load_checkpoint, save_checkpoint, train
+from .nnet import TrainConfig, deepsets_eval_batch, load_checkpoint, save_checkpoint, train
 from .sets import f_star
 from .verify import SUITES, run_suite
 
@@ -55,8 +55,9 @@ def cmd_collide(phi_path, M=None, tol=1e-8, budget=32, out_path=None, seed=0):
 
 
 def _contour_fn(name, params):
+    """The function of a contour grid, mapping (n, 2) points to n values."""
     if name == "max":
-        return lambda v: float(np.max(v))
+        return lambda XY: np.max(XY, axis=1)
     if name == "lse_max":
         if "a" not in params:
             raise ConfigError("lse_max contours need params {\"a\": sharpness} via --config")
@@ -64,12 +65,12 @@ def _contour_fn(name, params):
             a = float(params["a"])
         except (TypeError, ValueError):
             raise ConfigError(f"lse_max sharpness must be a number, got {params['a']!r}") from None
-        return lambda v: lse_max(v, a)
+        return lambda XY: [lse_max(v, a) for v in XY]
     if name == "f_star":
-        return f_star
+        return lambda XY: [f_star(v) for v in XY]
     if os.path.exists(name):
         model, _ = load_checkpoint(name)
-        return lambda v: deepsets_eval(model, v)
+        return lambda XY: deepsets_eval_batch(model, XY)
     raise ConfigError(
         f"unknown contour function {name!r}; expected max, lse_max, f_star, or a checkpoint path"
     )

@@ -69,14 +69,20 @@ class Mlp:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def forward(self, x):
-        """Evaluate on a single input (in_dim,) or a batch (n, in_dim)."""
+        """Evaluate on a single input (in_dim,) or a batch (n, in_dim).
+        Row-invariant: a row's bits do not depend on the batch it sits in."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        out, _ = self.forward_trace(np.atleast_2d(x))
-        return out[0] if single else out
+        out = self._layers(np.atleast_2d(x), stacked=True)[-1][2]
+        return out[0] if x.ndim == 1 else out
 
     def forward_trace(self, X):
-        """Batch forward pass keeping what backward needs: (output, trace)."""
+        """The trainer's batch pass, on plain matrix products (a row's bits may
+        depend on its batch), keeping what backward needs: (output, trace)."""
+        trace = self._layers(X, stacked=False)
+        return trace[-1][2], trace
+
+    def _layers(self, X, stacked):
+        """(input, pre-activation, output) per layer; stacked makes each row its own 1-row product."""
         h = np.asarray(X, dtype=float)
         if h.ndim != 2 or h.shape[1] != self.weights[0].shape[1]:
             raise ShapeError(
@@ -84,10 +90,10 @@ class Mlp:
             )
         trace = []
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            a = h @ w.T + b
-            trace.append((h, a))
-            h = _activate(act, a)
-        return h, trace
+            a = (h[:, None, :] @ w.T)[:, 0, :] + b if stacked else h @ w.T + b
+            trace.append((h, a, _activate(act, a)))
+            h = trace[-1][2]
+        return trace
 
     def backward(self, trace, grad_out):
         """Reverse-mode pass. grad_out is d(scalar)/d(output), shape (n, out).
@@ -98,8 +104,8 @@ class Mlp:
         weight_grads = [None] * len(self.weights)
         bias_grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in, a = trace[i]
-            ga = g * _activation_slope(self.activations[i], a, _activate(self.activations[i], a))
+            h_in, a, h_out = trace[i]
+            ga = g * _activation_slope(self.activations[i], a, h_out)
             weight_grads[i] = ga.T @ h_in
             bias_grads[i] = ga.sum(axis=0)
             g = ga @ self.weights[i]

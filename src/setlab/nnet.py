@@ -9,7 +9,7 @@ samples — deterministic down to the parameter bits given the config.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
 from .powersum import kahan_sum
-from .sets import as_set_input, canonicalize, f_star
+from .sets import as_set_input, as_set_rows, f_star
 
 TASKS = ("f_star", "max")
 DECAYS = ("none", "cosine")
@@ -50,15 +50,15 @@ class DeepSetsModel:
 
     def pooled(self, x):
         """sum_i phi(x_i) over the canonical ordering, compensated summation."""
-        u = canonicalize(x)
-        return kahan_sum(self.phi_net.forward(u[:, None]), axis=0)
+        return self.pooled_batch(as_set_input(x)[None, :])[0]
 
-    def rho_latent(self, s):
-        """Readout applied to a latent vector."""
-        return float(self.rho_net.forward(np.asarray(s, dtype=float))[0])
+    def pooled_batch(self, X):
+        """pooled on every row of X (n, M), bit for bit: Mlp.forward is row-invariant."""
+        U = np.sort(as_set_rows(X), axis=1)[:, ::-1]  # canonical order, as canonicalize
+        return kahan_sum(self.phi_net.forward(U.reshape(-1, 1)).reshape(*U.shape, self.N), axis=1)
 
     def __call__(self, x):
-        return self.rho_latent(self.pooled(x))
+        return deepsets_eval(self, x)
 
     def forward_trace(self, X):
         """Predictions (B, 1) on a batch of canonical rows (B, M), pooled by
@@ -94,9 +94,14 @@ class DeepSetsModel:
             raise ConfigError(f"malformed model config: {exc}") from None
 
 
+def deepsets_eval_batch(model, X):
+    """rho(sum phi) on every row of X (n, M); row i equals deepsets_eval(model, X[i])."""
+    return model.rho_net.forward(model.pooled_batch(X))[:, 0]
+
+
 def deepsets_eval(model, x):
     """rho(sum phi(x_i)); exactly permutation-invariant."""
-    return model(as_set_input(x))
+    return float(deepsets_eval_batch(model, as_set_input(x)[None, :])[0])
 
 
 @dataclass
@@ -139,22 +144,8 @@ class TrainConfig:
             raise ConfigError("hidden layer widths must be positive")
 
     def to_config(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "task": self.task,
-            "M": self.M,
-            "N": self.N,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch": self.batch,
-            "step": self.step,
-            "decay": self.decay,
-            "data": self.data,
-            "n_samples": self.n_samples,
-            "phi_hidden": list(self.phi_hidden),
-            "rho_hidden": list(self.rho_hidden),
-            "grid_resolution": self.grid_resolution,
-        }
+        cfg = {"schema": SCHEMA_VERSION, **asdict(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()}
 
     @classmethod
     def from_config(cls, cfg):

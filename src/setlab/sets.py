@@ -26,6 +26,14 @@ def as_set_input(x):
     values = np.asarray(x, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError(f"set input must be a non-empty 1-D vector, got shape {values.shape}")
+    return as_set_rows(values[None, :])[0]
+
+
+def as_set_rows(X):
+    """as_set_input on every row of X (n, M), with the same errors."""
+    values = np.asarray(X, dtype=float)
+    if values.ndim != 2 or values.shape[1] == 0:
+        raise DomainError(f"set rows must be a 2-D array of non-empty rows, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise DomainError("set input contains non-finite entries")
     if np.any(np.abs(values) > 1.0 + TOL):

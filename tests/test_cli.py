@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import setlab
-from setlab import DeepSetsModel, Mlp
+from setlab import DeepSetsModel, Mlp, deepsets_eval
 from setlab.approx import (
     load_certificate,
     random_mlp_encoder,
@@ -170,6 +170,36 @@ def test_contours_max_is_exact(tmp_path):
 
 def test_contours_unknown_function_exits_two(tmp_path):
     assert main(["contours", "nosuch", "--out", str(tmp_path / "g.csv")]) == 2
+
+
+def _wide_checkpoint(tmp_path):
+    # layers 32 wide: there, a plain matrix product gives a row other bits
+    # depending on the batch it sits in
+    phi = Mlp.init([1, 32, 32, 2], ["tanh", "tanh", "identity"], seed=2)
+    rho = Mlp.init([2, 32, 32, 1], ["tanh", "tanh", "identity"], seed=3)
+    model = DeepSetsModel(phi, 2, rho)
+    return model, _write_json(tmp_path / "checkpoint.json", model.to_config())
+
+
+def test_checkpoint_contours_equal_single_set_evaluation(tmp_path):
+    model, ckpt = _wide_checkpoint(tmp_path)
+    out = tmp_path / "grid.csv"
+    assert main(["contours", ckpt, "--resolution", "21", "--out", str(out)]) == 0
+    rows = _read_csv(out)
+    assert len(rows) == 21 * 21
+    for x, y, v in rows:
+        assert v == deepsets_eval(model, [x, y])
+
+
+def test_checkpoint_contours_are_identical_across_blas_thread_counts(tmp_path):
+    _, ckpt = _wide_checkpoint(tmp_path)
+    grids = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = _run_cli(["contours", ckpt, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        grids.append(out.read_bytes())
+    assert grids[0] == grids[1]
 
 
 # train

@@ -12,8 +12,10 @@ from setlab import (
     Mlp,
     ShapeError,
     TrainConfig,
+    DomainError,
     canonical_grid,
     deepsets_eval,
+    deepsets_eval_batch,
     grid_error,
     load_checkpoint,
     save_checkpoint,
@@ -153,6 +155,42 @@ def test_pooled_forward_matches_single_set_evaluation():
     np.testing.assert_allclose(pred[:, 0], [model(x) for x in X], rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
         model.forward_trace(X[0])
+
+
+@pytest.mark.parametrize("n, fan_in, fan_out", [(768, 32, 32), (3, 1, 32), (500, 32, 1), (97, 32, 2)])
+def test_mlp_forward_is_row_invariant(n, fan_in, fan_out):
+    net = Mlp.init([fan_in, fan_out], ["tanh"], seed=n)
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, fan_in))
+    batch = net.forward(X)
+    for i in range(n):
+        np.testing.assert_array_equal(batch[i], net.forward(X[i]))
+    np.testing.assert_array_equal(net.forward(X[n // 3 :]), batch[n // 3 :])
+
+
+def test_batched_model_evaluation_matches_single_sets():
+    phi = Mlp.init([1, 32, 32, 2], ["tanh", "tanh", "identity"], seed=7)
+    rho = Mlp.init([2, 32, 32, 1], ["tanh", "tanh", "identity"], seed=8)
+    model = DeepSetsModel(phi, 2, rho)
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, 3))  # rows not in canonical order
+    values = deepsets_eval_batch(model, X)
+    pooled = model.pooled_batch(X)
+    for i, x in enumerate(X):
+        assert values[i] == deepsets_eval(model, x) == model(x)
+        np.testing.assert_array_equal(pooled[i], model.pooled(x))
+    np.testing.assert_array_equal(deepsets_eval_batch(model, X[:, ::-1]), values)
+    np.testing.assert_array_equal(deepsets_eval_batch(model, X[::-1]), values[::-1])
+
+
+def test_batched_model_evaluation_validates_every_row():
+    model = _random_model(2, seed=3)
+    for bad in ([[0.5, np.nan]], [[0.5, -0.25], [0.5, 1.5]], [0.5, 0.25], np.empty((2, 0))):
+        with pytest.raises(DomainError):
+            deepsets_eval_batch(model, bad)
+    with pytest.raises(DomainError):
+        deepsets_eval(model, [[0.5, 0.25]])
+    # entries within tolerance of the domain are clamped, as for a single set
+    clamped = deepsets_eval_batch(model, [[1.0 + 1e-13, -0.5], [0.25, -1.0 - 1e-13]])
+    np.testing.assert_array_equal(clamped, [deepsets_eval(model, [1.0, -0.5]), deepsets_eval(model, [0.25, -1.0])])
 
 
 def test_deepsets_identity_sums():

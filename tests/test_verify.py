@@ -106,3 +106,12 @@ def test_saturation_residual_is_exactly_zero():
     report = run_suite("approx", seed=2, scale=0.01)
     row = next(r for r in report["checks"] if r["name"] == "smoothmax-saturation")
     assert row["residual"] == 0.0 and row["status"] == "pass"
+
+
+@pytest.mark.parametrize("seed", [4, 33])
+def test_max_pool_counterexample_pools_are_bit_equal(seed):
+    # the copied element sits at another row of phi.eval than the original;
+    # a row-invariant encoder gives both rows the same bits
+    index = next(i for i, c in enumerate(CHECKS) if c.name == "max-pool-counterexample")
+    assert CHECKS[index].tolerance == 0.0
+    assert CHECKS[index].fn(np.random.default_rng((seed, index)), 0.1) == 0.0
