@@ -25,4 +25,4 @@ from .phispec import (
     reference_encoders,
 )
 from .simplexmap import nu, nu_batch, nu_pair_batch
-from .smoothmax import lse_max
+from .smoothmax import lse_max, lse_max_batch

@@ -7,8 +7,7 @@ so two runs produce byte-identical files.
 
 import numpy as np
 
-from .._jsonio import format_float
-from ..errors import ConfigError, UnsupportedDim
+from ..errors import ConfigError, DomainError, UnsupportedDim
 
 
 def emit_contour_grid(fn, M=2, resolution=201):
@@ -25,7 +24,10 @@ def emit_contour_grid(fn, M=2, resolution=201):
 
 
 def write_contour_csv(rows, path):
+    """Write (x, y, value) rows as CSV; a grid holding a non-finite number is a
+    DomainError, raised before the file is opened."""
+    if not np.all(np.isfinite(np.asarray(rows, dtype=float))):
+        raise DomainError("contour grid holds non-finite values; nothing written")
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for row in rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows)

@@ -18,18 +18,7 @@ each level needs exactly the pair from the level below.
 import numpy as np
 
 from ..errors import DomainError
-from ..sets import TOL
-
-DOMAIN_TOL = TOL
-
-
-def _check_cube(X):
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise DomainError("cube point contains non-finite entries")
-    if np.any(np.abs(X) > 1.0 + DOMAIN_TOL):
-        raise DomainError("cube point entries must lie in [-1, 1]")
-    return np.clip(X, -1.0, 1.0)
+from ..sets import as_set_rows
 
 
 def _median3(a, b, c):
@@ -56,7 +45,7 @@ def _blend(top, bottom, s, n):
 
 def nu_pair_batch(X):
     """(nu(x), nu(-x)) for every row of X, shape (n_points, n) each."""
-    X = _check_cube(np.atleast_2d(X))
+    X = as_set_rows(np.atleast_2d(X))
     return _pair_recursion(X)
 
 

@@ -18,14 +18,14 @@ from .approx import (
     emit_contour_grid,
     find_collision,
     load_phispec,
-    lse_max,
+    lse_max_batch,
     save_certificate,
     save_phispec,
     write_contour_csv,
 )
 from .errors import ConfigError, DivergenceError, SearchExhausted, SetlabError
 from .nnet import TrainConfig, deepsets_eval_batch, load_checkpoint, save_checkpoint, train
-from .sets import f_star
+from .sets import f_star_batch
 from .verify import SUITES, run_suite
 
 
@@ -65,9 +65,9 @@ def _contour_fn(name, params):
             a = float(params["a"])
         except (TypeError, ValueError):
             raise ConfigError(f"lse_max sharpness must be a number, got {params['a']!r}") from None
-        return lambda XY: [lse_max(v, a) for v in XY]
+        return lambda XY: lse_max_batch(XY, a)
     if name == "f_star":
-        return lambda XY: [f_star(v) for v in XY]
+        return f_star_batch
     if os.path.exists(name):
         model, _ = load_checkpoint(name)
         return lambda XY: deepsets_eval_batch(model, XY)

@@ -18,7 +18,7 @@ from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
 from .powersum import kahan_sum
-from .sets import as_set_input, as_set_rows, f_star
+from .sets import as_set_input, as_set_rows, f_star_batch
 
 TASKS = ("f_star", "max")
 DECAYS = ("none", "cosine")
@@ -177,7 +177,7 @@ class TrainConfig:
 def _target(task, rows):
     """Per-row training target on canonicalized rows."""
     if task == "f_star":
-        return np.array([f_star(r) for r in rows])
+        return f_star_batch(rows)
     return rows[:, 0].copy()  # canonical rows are descending, so max is first
 
 

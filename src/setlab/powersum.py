@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleLatent, SizeError
-from .sets import as_set_input, canonicalize
+from .sets import as_set_input, as_set_rows, canonicalize
 
 # Power sums are badly conditioned in high degree; the supported claims are
 # desk-scale, so set sizes are capped.
@@ -56,15 +56,12 @@ def power_sum_encode(x):
     Inputs are sorted before accumulation and summed with compensation, so the
     result is bit-for-bit identical across permutations of x.
     """
-    u = canonicalize(x)
-    _check_m(u.size)
-    return _encode_sorted(u[None, :])[0]
+    return power_sum_encode_batch(as_set_input(x)[None, :])[0]
 
 
 def power_sum_encode_batch(X):
-    """Row-wise power_sum_encode for an (n_sets, M) array."""
-    X = np.asarray(X, dtype=float)
-    U = np.sort(X, axis=1)[:, ::-1]
+    """Row-wise power_sum_encode for an (n_sets, M) array, validated by as_set_rows."""
+    U = np.sort(as_set_rows(X), axis=1)[:, ::-1]
     _check_m(U.shape[1])
     return _encode_sorted(U)
 

@@ -54,15 +54,18 @@ def as_simplex(z, n=None):
         raise DomainError(f"simplex point must be a non-empty 1-D vector, got shape {coords.shape}")
     if n is not None and coords.size != n:
         raise DomainError(f"expected a {n}-dimensional simplex point, got {coords.size}")
-    if not np.all(np.isfinite(coords)):
-        raise DomainError("simplex point contains non-finite entries")
-    if np.any(np.abs(coords) > 1.0 + TOL):
-        raise DomainError("simplex point entries must lie in [-1, 1]")
-    if np.any(np.diff(coords) > TOL):
-        raise DomainError(f"simplex point must be descending: {coords}")
-    coords = np.clip(coords, -1.0, 1.0)
+    return as_simplex_rows(coords[None, :])[0]
+
+
+def as_simplex_rows(Z):
+    """as_simplex on every row of Z (n, N), with as_set_rows' domain errors."""
+    raw = np.asarray(Z, dtype=float)
+    coords = as_set_rows(raw)
+    rising = np.any(np.diff(raw, axis=1) > TOL, axis=1)
+    if rising.any():
+        raise DomainError(f"simplex point must be descending: {raw[np.argmax(rising)]}")
     # repair sub-tolerance inversions so downstream equality patterns are clean
-    return np.minimum.accumulate(coords)
+    return np.minimum.accumulate(coords, axis=1)
 
 
 def f_star(x):
@@ -71,12 +74,16 @@ def f_star(x):
 
     Summation is exact (fsum), so the face values +1/-1 are hit bit-exactly.
     """
-    u = canonicalize(x)
-    m = u.size
-    terms = [u[i] if i % 2 == 0 else -u[i] for i in range(m)]
-    if m % 2 == 0:
-        terms.append(-1.0)
-    return math.fsum(terms)
+    return float(f_star_batch(as_set_input(x)[None, :])[0])
+
+
+def f_star_batch(X):
+    """f_star on every row of X (n, M); row i equals f_star(X[i]) bit for bit."""
+    U = np.sort(as_set_rows(X), axis=1)[:, ::-1]
+    m = U.shape[1]
+    bias = [-1.0] if m % 2 == 0 else []
+    signed = U * (-1.0) ** np.arange(m)
+    return np.array([math.fsum(row + bias) for row in signed.tolist()])
 
 
 @dataclass(frozen=True)
@@ -102,21 +109,17 @@ class FacePoint:
 
 def face_residual(values, face):
     """Largest violation of the face equality pattern (0 for exact members)."""
-    v = np.asarray(values, dtype=float)
-    m = v.size
-    err = 0.0
-    if face == +1:
-        err = max(err, abs(v[0] - 1.0))
-        for i in range(1, m - 1, 2):  # 0-based pairs (1,2), (3,4), ...
-            err = max(err, abs(v[i] - v[i + 1]))
-        if m % 2 == 0:
-            err = max(err, abs(v[m - 1] + 1.0))
-    else:
-        for i in range(0, m - 1, 2):  # 0-based pairs (0,1), (2,3), ...
-            err = max(err, abs(v[i] - v[i + 1]))
-        if m % 2 == 1:
-            err = max(err, abs(v[m - 1] + 1.0))
-    return err
+    return float(face_residual_batch(as_set_input(values)[None, :], face)[0])
+
+
+def face_residual_batch(V, face):
+    """face_residual on every row of V (n, M)."""
+    V = as_set_rows(V)
+    m, first = V.shape[1], int(face == +1)  # ties start at x_2 on face +1, at x_1 on face -1
+    parts = [V[:, first : m - 1 : 2] - V[:, first + 1 : m : 2], V[:, :first] - 1.0]
+    if (m - first) % 2 == 1:  # a last coordinate left out of the ties must be -1
+        parts.append(V[:, m - 1 :] + 1.0)
+    return np.max(np.abs(np.concatenate(parts, axis=1)), axis=1)
 
 
 def build_face_pair(z, M=None):
@@ -130,23 +133,20 @@ def build_face_pair(z, M=None):
     alternating-sum map of z (the collision engine relies on this).
     """
     z = as_simplex(z)
-    n = z.size
-    if M is None:
-        M = n + 1
-    if M != n + 1:
-        raise SizeError(f"face pair requires M = N+1; got N={n}, M={M}")
+    if M is not None and M != z.size + 1:
+        raise SizeError(f"face pair requires M = N+1; got N={z.size}, M={M}")
+    plus, minus = build_face_pair_batch(z[None, :])
+    return FacePoint(plus[0], +1), FacePoint(minus[0], -1)
 
-    plus = np.empty(M)
-    plus[0] = 1.0
-    for i1 in range(2, n + 1, 2):  # 1-based even positions of z
-        plus[i1 - 1] = plus[i1] = z[i1 - 1]
-    if M % 2 == 0:
-        plus[M - 1] = -1.0
 
-    minus = np.empty(M)
-    for i1 in range(1, n + 1, 2):  # 1-based odd positions of z
-        minus[i1 - 1] = minus[i1] = z[i1 - 1]
-    if M % 2 == 1:
-        minus[M - 1] = -1.0
-
-    return FacePoint(plus, +1), FacePoint(minus, -1)
+def build_face_pair_batch(Z):
+    """build_face_pair on every row of Z (n, N): the values of x+ and of x-,
+    two (n, N+1) arrays whose rows equal build_face_pair(Z[i]) bit for bit."""
+    Z = as_simplex_rows(Z)
+    M = Z.shape[1] + 1
+    plus, minus = np.empty((Z.shape[0], M)), np.empty((Z.shape[0], M))
+    plus[:, 0] = 1.0
+    plus[:, 1 : M - 1 : 2] = plus[:, 2:M:2] = Z[:, 1::2]  # 1-based even positions of z
+    minus[:, 0 : M - 1 : 2] = minus[:, 1:M:2] = Z[:, 0::2]  # 1-based odd positions
+    (plus if M % 2 == 0 else minus)[:, M - 1] = -1.0  # the face whose ties leave x_M out
+    return plus, minus

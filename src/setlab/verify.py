@@ -9,6 +9,7 @@ wall_time fields. `scale` multiplies the sample counts (1.0 = full size).
 import math
 import statistics
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .powersum import (
     _encode_sorted,
     exact_eval,
     power_sum_decode_batch,
-    power_sum_encode,
+    power_sum_encode_batch,
     varsize_decode_batch,
     varsize_encode,
 )
@@ -37,7 +38,7 @@ from .approx import (
     find_collision,
     gamma_batch,
     left_shift,
-    lse_max,
+    lse_max_batch,
     nu_batch,
     nu_pair_batch,
     pooled_encoding,
@@ -45,7 +46,7 @@ from .approx import (
     random_piecewise_linear,
     reference_encoders,
 )
-from .sets import build_face_pair, canonicalize, f_star, face_residual
+from .sets import build_face_pair_batch, canonicalize, f_star, f_star_batch, face_residual_batch
 
 SUITES = ("all", "sumdec", "approx", "janossy", "nnet")
 
@@ -58,28 +59,25 @@ def _count(base, scale):
 
 
 def _chk_sort_invariance(rng, scale):
-    worst = 0.0
+    by_size = defaultdict(list)  # each set with its 8 permutations, drawn in turn
     for _ in range(_count(300, scale)):
         x = rng.uniform(-1, 1, int(rng.integers(1, 9)))
-        base = f_star(x)
-        for _ in range(8):
-            worst = max(worst, abs(f_star(rng.permutation(x)) - base))
+        by_size[x.size].append([x] + [rng.permutation(x) for _ in range(8)])
+    worst = 0.0
+    for m, blocks in by_size.items():
+        F = f_star_batch(np.reshape(blocks, (-1, m))).reshape(-1, 9)
+        worst = max(worst, float(np.max(np.abs(F[:, 1:] - F[:, :1]))))
     return worst
 
 
 def _chk_face_pair_gap(rng, scale):
     worst = 0.0
     for n in range(1, 8):
-        for _ in range(_count(10_000, scale)):
-            z = np.sort(rng.uniform(-1, 1, n))[::-1]
-            plus, minus = build_face_pair(z)
-            worst = max(
-                worst,
-                face_residual(plus.values, +1),
-                face_residual(minus.values, -1),
-                abs(f_star(plus.values) - 1.0),
-                abs(f_star(minus.values) + 1.0),
-            )
+        Z = np.sort(rng.uniform(-1, 1, size=(_count(10_000, scale), n)), axis=1)[:, ::-1]
+        plus, minus = build_face_pair_batch(Z)
+        gaps = [face_residual_batch(plus, +1), face_residual_batch(minus, -1)]
+        gaps += [f_star_batch(plus) - 1.0, f_star_batch(minus) + 1.0]
+        worst = max(worst, float(np.max(np.abs(gaps))))
     return worst
 
 
@@ -93,11 +91,8 @@ def _chk_canonicalize_idempotent(rng, scale):
 
 def _chk_planar_closed_form(rng, scale):
     axis = np.linspace(-1.0, 1.0, _count(201, scale))
-    worst = 0.0
-    for x in axis:
-        for y in axis:
-            worst = max(worst, abs(f_star([x, y]) - (abs(x - y) - 1.0)))
-    return worst
+    XY = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return float(np.max(np.abs(f_star_batch(XY) - (np.abs(XY[:, 0] - XY[:, 1]) - 1.0))))
 
 
 # ------------------------------------------------------------------ codec
@@ -128,13 +123,14 @@ def _chk_injectivity_separation(rng, scale):
 
 
 def _chk_encode_invariance(rng, scale):
-    worst = 0.0
+    by_size = defaultdict(list)
     for _ in range(_count(10_000, scale)):
         x = rng.uniform(-1, 1, int(rng.integers(1, 9)))
-        worst = max(
-            worst,
-            float(np.max(np.abs(power_sum_encode(rng.permutation(x)) - power_sum_encode(x)))),
-        )
+        by_size[x.size].append([rng.permutation(x), x])
+    worst = 0.0
+    for m, pairs in by_size.items():
+        P = power_sum_encode_batch(np.reshape(pairs, (-1, m))).reshape(-1, 2, m)
+        worst = max(worst, float(np.max(np.abs(P[:, 0] - P[:, 1]))))
     return worst
 
 
@@ -176,23 +172,28 @@ def _chk_exact_eval_max_grid(rng, scale):
 
 
 def _chk_smoothmax_bound(rng, scale):
-    worst = 0.0
+    by_size = defaultdict(list)
     for _ in range(_count(100_000, scale)):
         m = int(rng.integers(1, 9))
-        x = rng.uniform(-1, 1, m)
-        a = float(rng.uniform(0.5, 50.0))
-        v, mx = lse_max(x, a), float(np.max(x))
-        worst = max(worst, mx - v, v - mx - np.log(m) / a)
+        by_size[m].append((rng.uniform(-1, 1, m), float(rng.uniform(0.5, 50.0))))
+    worst = 0.0
+    for m, samples in by_size.items():
+        X, a = map(np.array, zip(*samples))
+        v, mx = lse_max_batch(X, a), np.max(X, axis=1)
+        worst = max(worst, float(np.max(mx - v)), float(np.max(v - mx - np.log(m) / a)))
     return max(0.0, worst)
 
 
 def _chk_smoothmax_saturation(rng, scale):
-    worst = 0.0
+    by_size = defaultdict(list)
     for _ in range(_count(2000, scale)):
         m = int(rng.integers(1, 9))
-        t = float(rng.uniform(-1, 1))
-        a = float(rng.uniform(0.5, 50.0))
-        worst = max(worst, abs(lse_max(np.full(m, t), a) - (t + np.log(m) / a)))
+        by_size[m].append((float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 50.0))))
+    worst = 0.0
+    for m, samples in by_size.items():
+        t, a = map(np.array, zip(*samples))
+        v = lse_max_batch(np.repeat(t[:, None], m, axis=1), a)
+        worst = max(worst, float(np.max(np.abs(v - (t + np.log(m) / a)))))
     return worst
 
 
@@ -524,6 +525,8 @@ def run_suite(suite="all", seed=0, tol=None, scale=1.0):
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
     if not (isinstance(scale, (int, float)) and 0 < scale <= 1):
         raise ConfigError(f"scale must be in (0, 1], got {scale}")
+    if tol is not None and not (isinstance(tol, (int, float)) and 0 <= tol < math.inf):
+        raise ConfigError(f"tolerance override must be a finite number >= 0, got {tol}")
     selected = [
         (i, c) for i, c in enumerate(CHECKS) if suite == "all" or c.suite == suite
     ]

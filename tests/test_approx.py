@@ -17,6 +17,7 @@ from setlab.approx import (
     left_shift,
     load_certificate,
     lse_max,
+    lse_max_batch,
     monomial_family,
     nu,
     nu_batch,
@@ -30,6 +31,7 @@ from setlab.approx import (
     reference_encoders,
     write_contour_csv,
 )
+from setlab._jsonio import format_float
 from setlab.errors import CertMismatch, ConfigError
 from setlab.sets import f_star
 
@@ -48,6 +50,27 @@ def test_lse_max_examples():
 def test_lse_max_rejects_bad_sharpness():
     with pytest.raises(DomainError):
         lse_max([0.0], 0.0)
+    X = np.zeros((3, 2))
+    for a in (0.0, -1.0, np.nan, [2.0, 0.0, 2.0], [2.0, np.nan, 2.0], [2.0, 2.0]):
+        with pytest.raises(DomainError):
+            lse_max_batch(X, a)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lse_max_batch_matches_single_sets_bitwise(m):
+    rng = np.random.default_rng(m)
+    X = rng.uniform(-1.0, 1.0, size=(300, m))
+    X[::5] = X[::5, :1]  # all-equal rows
+    a = rng.uniform(0.5, 50.0, size=300)
+
+    def reference(x, s):  # the one-set formula, the reference the batch must equal
+        top = float(np.max(x))
+        return top + float(np.log(np.sum(np.exp(s * (x - top))))) / s
+
+    for sharp, per_row in ((a, a), (7.5, np.full(300, 7.5))):
+        got = lse_max_batch(X, sharp)
+        np.testing.assert_array_equal(got, [lse_max(x, s) for x, s in zip(X, per_row)])
+        np.testing.assert_array_equal(got, [reference(x, float(s)) for x, s in zip(X, per_row)])
 
 
 @settings(max_examples=200)
@@ -350,6 +373,11 @@ def test_contour_grid_structure(tmp_path):
     assert lines[0] == "x,y,value"
     assert len(lines) == 26
     assert lines[1] == "-1,-1,-1"
+    # each value is written as format_float writes it, -0 included
+    odd = [(-0.0, 0.1, 1 / 3), (1e-300, -2.5e-17, 123456789.0), (-1.0, 1.0, 2.0 / 3)]
+    write_contour_csv(odd, path)
+    expected = [",".join(format_float(v) for v in row) for row in odd]
+    assert path.read_text().splitlines()[1:] == expected
 
 
 def test_contour_grid_rejects_other_dims():

@@ -92,6 +92,11 @@ def test_verify_zero_tolerance_override_exits_one(tmp_path):
 def test_verify_rejects_unknown_suite_and_bad_budget():
     assert main(["verify", "--suite", "set_core"]) == 2
     assert main(["verify", "--suite", "all", "--budget", "0"]) == 2
+    # a tolerance override must be a finite number >= 0
+    for tol in ("inf", "nan", "-1"):
+        proc = _run_cli(["verify", "--suite", "janossy", "--budget", "0.01", "--tol", tol])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # collide
@@ -189,6 +194,19 @@ def test_checkpoint_contours_equal_single_set_evaluation(tmp_path):
     assert len(rows) == 21 * 21
     for x, y, v in rows:
         assert v == deepsets_eval(model, [x, y])
+
+
+def test_checkpoint_contours_that_overflow_exit_two_and_write_nothing(tmp_path):
+    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
+    rho = Mlp.init([2, 4, 1], ["tanh", "identity"], seed=1)
+    rho.weights[0][:], rho.biases[0][:] = 0.0, 5.0
+    rho.weights[1][:], rho.biases[1][:] = 1.5e308, 1.5e308  # finite weights, infinite output
+    ckpt = _write_json(tmp_path / "checkpoint.json", DeepSetsModel(phi, 2, rho).to_config())
+    out = tmp_path / "grid.csv"
+    proc = _run_cli(["contours", ckpt, "--resolution", "5", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_checkpoint_contours_are_identical_across_blas_thread_counts(tmp_path):

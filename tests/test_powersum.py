@@ -47,10 +47,13 @@ def test_encode_permutation_invariant_bitwise(data, xs):
 
 def test_encode_batch_matches_scalar():
     rng = np.random.default_rng(1)
-    X = rng.uniform(-1.0, 1.0, size=(32, 5))
-    P = power_sum_encode_batch(X)
-    for i in range(32):
-        np.testing.assert_array_equal(P[i], power_sum_encode(X[i]))
+    for m in range(1, 9):
+        X = rng.uniform(-1.0, 1.0, size=(32, m))
+        X[::3, m // 2] = X[::3, 0]  # ties
+        X[1::4, -1] = 1.0
+        P = power_sum_encode_batch(X)
+        for i in range(32):
+            np.testing.assert_array_equal(P[i], power_sum_encode(X[i]))
 
 
 def test_newton_identities_against_np_poly():

@@ -1,10 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from setlab import DomainError, FacePoint, SizeError
-from setlab.sets import as_set_input, as_simplex, build_face_pair, canonicalize, f_star, face_residual
+from setlab.approx import lse_max_batch, nu_pair_batch
+from setlab.powersum import power_sum_encode_batch
+from setlab.sets import (
+    as_set_input,
+    as_simplex,
+    build_face_pair,
+    build_face_pair_batch,
+    canonicalize,
+    f_star,
+    f_star_batch,
+    face_residual,
+    face_residual_batch,
+)
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0)
 unit_sets = st.lists(unit_floats, min_size=1, max_size=8)
@@ -28,6 +42,36 @@ def test_as_set_input_rejects(bad):
 def test_as_simplex_requires_descending():
     with pytest.raises(DomainError):
         as_simplex([0.1, 0.5])
+    with pytest.raises(DomainError):
+        build_face_pair_batch([[0.5, 0.1], [0.1, 0.5]])
+
+
+# every batched set operation validates all of its rows as as_set_rows does
+SET_BATCHES = {
+    "f_star_batch": f_star_batch,
+    "lse_max_batch": lambda X: lse_max_batch(X, 2.0),
+    "power_sum_encode_batch": power_sum_encode_batch,
+    "build_face_pair_batch": build_face_pair_batch,
+    "face_residual_batch": lambda X: face_residual_batch(X, +1),
+    "nu_pair_batch": nu_pair_batch,
+}
+BAD_ROWS = {
+    "nan": [[0.5, np.nan]],
+    "beyond tolerance": [[0.5, -0.25], [1.0 + 2e-12, 0.25]],
+    "out of range": [[2.0, 0.5]],
+    "1-D": [0.5, 0.25],
+    "zero-width": np.empty((3, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "batch, bad",
+    # nu_pair_batch reads a 1-D array as one cube point
+    [(b, r) for b in sorted(SET_BATCHES) for r in sorted(BAD_ROWS) if (b, r) != ("nu_pair_batch", "1-D")],
+)
+def test_set_batches_validate_every_row(batch, bad):
+    with pytest.raises(DomainError):
+        SET_BATCHES[batch](BAD_ROWS[bad])
 
 
 def test_as_simplex_repairs_subtolerance_inversions():
@@ -39,6 +83,46 @@ def test_as_simplex_repairs_subtolerance_inversions():
 def test_f_star_permutation_invariant(data, xs):
     perm = data.draw(st.permutations(xs))
     assert f_star(perm) == f_star(xs)
+
+
+# loop forms of one set at a time: the references the batches must equal bit for bit
+def _f_star_loop(x):
+    u = np.sort(np.asarray(x, dtype=float))[::-1]
+    terms = [u[i] if i % 2 == 0 else -u[i] for i in range(u.size)]
+    return math.fsum(terms + [-1.0] * (u.size % 2 == 0))
+
+
+def _face_residual_loop(v, face):
+    m, first = v.size, (1 if face == +1 else 0)
+    errs = [abs(v[i] - v[i + 1]) for i in range(first, m - 1, 2)]
+    errs += [abs(v[0] - 1.0)] * (face == +1) + [abs(v[m - 1] + 1.0)] * ((m - first) % 2 == 1)
+    return max(errs)
+
+
+def _face_pair_loop(z):
+    M = z.size + 1
+    plus, minus = np.full(M, -1.0), np.full(M, -1.0)
+    plus[0] = 1.0
+    for i in range(z.size):  # 0-based odd entries of z tie up in x+, even ones in x-
+        (plus if i % 2 else minus)[i : i + 2] = z[i]
+    return plus, minus
+
+
+def _bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_f_star_batch_matches_single_sets_bitwise(m):
+    rng = np.random.default_rng(m)
+    X = rng.uniform(-1.0, 1.0, size=(200, m))  # rows in no particular order
+    X[::3, m // 2] = X[::3, 0]  # ties
+    X[1::4, 0], X[2::4, -1] = 1.0, -1.0
+    X[3::5, (m - 1) // 2] = -0.0
+    X[4::6] = rng.choice([-1.0, -0.0, 0.0, 1.0, 0.5], size=X[4::6].shape)
+    got = _bits(f_star_batch(X))
+    assert got == _bits(f_star(x) for x in X)
+    assert got == _bits(_f_star_loop(x) for x in X)
 
 
 def test_f_star_examples():
@@ -122,6 +206,23 @@ def test_build_face_pair_hits_faces_exactly(n):
         assert face_residual(minus.values, -1) == 0.0
         assert f_star(plus.values) == 1.0
         assert f_star(minus.values) == -1.0
+    # the batch, on these rows and on rows off the faces, equals the single-set
+    # forms and the loop references bit for bit
+    Z = np.sort(rng.uniform(-1.0, 1.0, size=(300, n)), axis=1)[:, ::-1]
+    Z[::4, 0] = 1.0
+    Z[1::4, -1] = -1.0
+    plus, minus = build_face_pair_batch(Z)
+    off = np.sort(rng.uniform(-1.0, 1.0, size=(300, n + 1)), axis=1)
+    for V, face in ((plus, +1), (minus, -1), (minus, +1), (plus, -1), (off, +1), (off, -1)):
+        got = _bits(face_residual_batch(V, face))
+        assert got == _bits(face_residual(v, face) for v in V)
+        assert got == _bits(_face_residual_loop(v, face) for v in V)
+    for z, p, q in zip(Z, plus, minus):
+        pair = build_face_pair(z)
+        np.testing.assert_array_equal(p, pair[0].values)
+        np.testing.assert_array_equal(q, pair[1].values)
+        for got, want in zip((p, q), _face_pair_loop(z)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_build_face_pair_requires_matching_size():
