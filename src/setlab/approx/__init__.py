@@ -2,12 +2,14 @@
 collision certificates, and contour grids."""
 
 from .collision import (
+    NEWTON_STARTS,
     CollisionCertificate,
     error_lower_bound,
     find_collision,
     gamma,
     gamma_batch,
     left_shift,
+    left_shift_batch,
     load_certificate,
     pooled_encoding,
     save_certificate,

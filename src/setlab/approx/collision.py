@@ -15,17 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# scipy.stats and scipy.optimize are imported inside the searches that use them:
-# they cost more than the rest of `import setlab`, and codec-only users never need them
+# scipy.stats is imported inside the search that uses it: it costs more than
+# the rest of `import setlab`, and codec-only users never need it
 from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
 from ..errors import CertMismatch, DomainError, SearchExhausted, SizeError
-from ..sets import as_simplex, build_face_pair, f_star
-from .simplexmap import nu_batch
+from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
 
-NM_MAXITER = 600  # Nelder-Mead iterations per stage-2 start
-NEWTON_STEPS = 24  # damped-Newton steps per start (stage 1) or polish (stage 2)
-POLISH_TOP = 5  # stage-2 candidates that get the Newton/coordinate polish
-COORD_SWEEPS = 6  # coordinate line-search sweeps per polished candidate
+NEWTON_STARTS = 256  # default search budget: sorted-Newton starts per search
+NEWTON_STEPS = 24  # damped-Newton steps per start
 
 
 def gamma_batch(Z, phi):
@@ -44,10 +41,16 @@ def gamma(z, phi):
     return gamma_batch(as_simplex(z)[None, :], phi)[0]
 
 
+def left_shift_batch(Z):
+    """alpha on every row of Z: drop the first coordinate and append -1 (stays
+    in the simplex)."""
+    Z = as_simplex_rows(Z)
+    return np.concatenate([Z[:, 1:], np.full((Z.shape[0], 1), -1.0)], axis=1)
+
+
 def left_shift(z):
-    """alpha(z): drop the first coordinate and append -1 (stays in the simplex)."""
-    z = as_simplex(z)
-    return np.append(z[1:], -1.0)
+    """alpha(z) at one simplex point; DomainError off the simplex."""
+    return left_shift_batch(as_simplex(z)[None, :])[0]
 
 
 def pooled_encoding(phi, x):
@@ -119,65 +122,34 @@ def _certificate(phi, z_star, trace):
     )
 
 
-def _gamma_of_cube(phi):
-    def g(x):
-        return gamma_batch(nu_batch(np.clip(x, -1.0, 1.0)[None, :]), phi)[0]
-
-    return g
-
-
-def _damped_newton(g, x, steps, stop_tol=0.0):
-    """Square-system damped Newton on a field g with a central-difference
-    Jacobian; probes and iterates stay in [-1, 1]. Returns (x, residual)."""
+def _damped_newton(field, x, steps, stop_tol=0.0):
+    """Square-system damped Newton on a row-batched field ((k, n) points to
+    (k, n) values) with a central-difference Jacobian; probes and iterates
+    stay in [-1, 1]. Each step evaluates its 2n probes in one call and its
+    step ladder in one more. Returns (x, residual)."""
     n = x.size
-    val = g(x)
+    val = field(x[None, :])[0]
     r = float(np.max(np.abs(val)))
     h = 1e-7
+    step = h * np.eye(n)
+    ladder = np.array([1.0, 0.5, 0.25, 0.1])
     for _ in range(steps):
         if r <= stop_tol:
             break
-        jac = np.empty((n, n))
-        for j, e in enumerate(h * np.eye(n)):
-            jac[:, j] = (g(np.clip(x + e, -1.0, 1.0)) - g(np.clip(x - e, -1.0, 1.0))) / (2.0 * h)
+        vals = field(np.clip(np.concatenate([x + step, x - step]), -1.0, 1.0))
+        jac = ((vals[:n] - vals[n:]) / (2.0 * h)).T
         try:
             delta = np.linalg.lstsq(jac, -val, rcond=None)[0]
         except np.linalg.LinAlgError:
             break
-        for t in (1.0, 0.5, 0.25, 0.1):
-            cand = np.clip(x + t * delta, -1.0, 1.0)
-            cval = g(cand)
-            cres = float(np.max(np.abs(cval)))
-            if cres < r:
-                x, val, r = cand, cval, cres
-                break
-        else:
+        cands = np.clip(x + ladder[:, None] * delta, -1.0, 1.0)
+        cvals = field(cands)
+        cres = np.max(np.abs(cvals), axis=1)
+        better = np.flatnonzero(cres < r)
+        if better.size == 0:
             break
+        x, val, r = cands[better[0]], cvals[better[0]], float(cres[better[0]])
     return x, r
-
-
-def _coordinate_polish(g, x, sweeps):
-    """Cyclic bounded line searches on the squared residual (derivative-free)."""
-    from scipy import optimize
-
-    h = lambda v: float(np.sum(g(v) ** 2))
-    best = h(x)
-    for _ in range(sweeps):
-        changed = False
-        for j in range(x.size):
-            def along(t, j=j):
-                cand = x.copy()
-                cand[j] = t
-                return h(cand)
-
-            res = optimize.minimize_scalar(along, bounds=(-1.0, 1.0), method="bounded")
-            if res.fun < best:
-                x = x.copy()
-                x[j] = float(res.x)
-                best = res.fun
-                changed = True
-        if not changed:
-            break
-    return x, float(np.sqrt(best))
 
 
 _ENUM_CAP = 60000
@@ -255,16 +227,18 @@ def _bisect_1d(phi):
     return np.array([best_t]), trace
 
 
-def find_collision(phi, M=None, tol_zero=1e-8, budget=32, seed=0):
+def find_collision(phi, M=None, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     """Search for a simplex point whose opposing-face lifts pool identically.
 
     Returns a CollisionCertificate whose phi_residual is at most
     tol_zero * (1 + max|phi|); raises SearchExhausted (with the best residual
     and full trace) if the budget runs out first. A zero of the composed field
     always exists, so exhaustion means the budget was too small, not that no
-    collision exists. budget is the number of Sobol starts per stage, rounded
-    up to a power of two.
+    collision exists. budget is the number of sorted-Newton starts (default
+    256), rounded up to a power of two; a budget below 1 is a SizeError.
     """
+    if budget < 1:
+        raise SizeError(f"collision search needs a budget of at least 1 start; got {budget}")
     n = phi.N
     m = n + 1 if M is None else int(M)
     if m != n + 1:
@@ -307,13 +281,14 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=32, seed=0):
                 "best_residual": min((r for r, _ in enum), default=float("inf")),
             })
 
-    # stage 1: Newton in sorted coordinates — deterministic and cheap. The map
-    # is a sum of one-dimensional terms, so in unsorted coordinates its zero
-    # set carries n! mirror copies and every start chases the nearest copy,
-    # which makes the basins far wider than in the cube parameterization
-    if (not pool or min(c[0] for c in pool) > stop_tol) and budget > 0:
-        def field(w):
-            return gamma_batch(-np.sort(-w)[None, :], phi)[0]
+    # then Newton in sorted coordinates, one start at a time until a start
+    # reaches stop_tol. The map is a sum of one-dimensional terms, so in
+    # unsorted coordinates its zero set carries n! mirror copies and every
+    # start chases the nearest copy, which makes the basins far wider than in
+    # the cube parameterization
+    if not pool or min(c[0] for c in pool) > stop_tol:
+        def field(W):
+            return gamma_batch(-np.sort(-W, axis=1), phi)
 
         newton = []
         for w0 in _sobol_starts(n, budget, seed):
@@ -323,48 +298,6 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=32, seed=0):
             if r <= stop_tol:
                 break
         stages.append({"name": "sorted-newton", "starts": len(newton), "best_residual": min(newton)})
-
-    # stage 2 (fallback): the cube parameterization turns the boundary field
-    # antipodally antisymmetric, so a zero is guaranteed in the interior —
-    # multistart Nelder-Mead plus Newton/coordinate polish hunts it down
-    if not pool or min(c[0] for c in pool) > stop_tol:
-        from scipy import optimize
-
-        g = _gamma_of_cube(phi)
-        face_centers = np.zeros((2 * n, n))  # +e_j, then -e_j, for each axis j
-        face_centers[2 * np.arange(n), np.arange(n)] = 1.0
-        face_centers[2 * np.arange(n) + 1, np.arange(n)] = -1.0
-        starts = np.concatenate([face_centers, _sobol_starts(n, max(budget, 1), seed + 1)])
-
-        h = lambda x: float(np.sum(g(x) ** 2))
-        candidates = []
-        for idx, x0 in enumerate(starts):
-            res = optimize.minimize(
-                h,
-                x0,
-                method="Nelder-Mead",
-                bounds=[(-1.0, 1.0)] * n,
-                options={"maxiter": NM_MAXITER, "xatol": 1e-12, "fatol": 1e-24},
-            )
-            x = np.clip(res.x, -1.0, 1.0)
-            candidates.append({"start": idx, "x": x, "residual": float(np.max(np.abs(g(x))))})
-
-        candidates.sort(key=lambda c: (c["residual"], c["start"]))
-        for cand in candidates[:POLISH_TOP]:
-            x, r = _damped_newton(g, cand["x"], NEWTON_STEPS)
-            if r > tol_cert / 4.0:
-                x, r = _coordinate_polish(g, x, COORD_SWEEPS)
-            cand["x"], cand["residual"] = x, r
-
-        candidates.sort(key=lambda c: (c["residual"], c["start"]))
-        for cand in candidates:
-            pool.append((cand["residual"], len(pool), nu_batch(cand["x"][None, :])[0]))
-        stages.append({
-            "name": "multistart-nm",
-            "starts": len(starts),
-            "nm_maxiter": NM_MAXITER,
-            "best_residual": candidates[0]["residual"],
-        })
 
     best_r, best_order, best_z = min(pool, key=lambda c: (c[0], c[1]))
     trace = {

@@ -15,6 +15,7 @@ import numpy as np
 
 from ._jsonio import SCHEMA_VERSION, dump_file, dumps, format_float, load_file
 from .approx import (
+    NEWTON_STARTS,
     emit_contour_grid,
     find_collision,
     load_phispec,
@@ -37,7 +38,7 @@ def cmd_verify(suite="all", seed=0, out_path=None, tol=None, budget=1.0):
     return report
 
 
-def cmd_collide(phi_path, M=None, tol=1e-8, budget=32, out_path=None, seed=0):
+def cmd_collide(phi_path, M=None, tol=1e-8, budget=NEWTON_STARTS, out_path=None, seed=0):
     """Certify a pooled-encoding collision for the encoder stored at phi_path.
 
     M defaults to the only feasible value, one more than the encoder's output
@@ -205,7 +206,12 @@ def _build_parser():
     p = sub.add_parser("collide", help="search for a pooled-encoding collision")
     p.add_argument("phi", help="path to an encoder spec JSON file")
     p.add_argument("--tol", type=float, default=1e-8, help="zero tolerance for the residual")
-    p.add_argument("--budget", type=int, default=32, help="search starts per stage, rounded up to a power of two")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=NEWTON_STARTS,
+        help="sorted-Newton starts, rounded up to a power of two (default %(default)s)",
+    )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the certificate (or failure trace) here")
     p.set_defaults(run=_run_collide)

@@ -37,7 +37,7 @@ from .powersum import (
 from .approx import (
     find_collision,
     gamma_batch,
-    left_shift,
+    left_shift_batch,
     lse_max_batch,
     nu_batch,
     nu_pair_batch,
@@ -250,12 +250,13 @@ def _chk_vertical_constancy(rng, scale):
 
 def _chk_left_shift_antisymmetry(rng, scale):
     worst = 0.0
+    count = _count(400, scale)
     for n in range(2, 7):
         for phi in reference_encoders(n):
-            for _ in range(_count(400, scale)):
-                z = np.concatenate([[1.0], np.sort(rng.uniform(-1, 1, n - 1))[::-1]])
-                g = gamma_batch(np.stack([z, left_shift(z)]), phi)
-                worst = max(worst, float(np.max(np.abs(g[1] + g[0]))))
+            tails = np.sort(rng.uniform(-1, 1, (count, n - 1)), axis=1)[:, ::-1]
+            Z = np.concatenate([np.ones((count, 1)), tails], axis=1)
+            g = gamma_batch(np.concatenate([Z, left_shift_batch(Z)]), phi)
+            worst = max(worst, float(np.max(np.abs(g[count:] + g[:count]))))
     return worst
 
 

@@ -31,7 +31,7 @@ from setlab.approx import (
     reference_encoders,
     write_contour_csv,
 )
-from setlab._jsonio import format_float
+from setlab._jsonio import dumps, format_float
 from setlab.errors import CertMismatch, ConfigError
 from setlab.sets import f_star
 
@@ -281,17 +281,22 @@ def test_find_collision_semicircle():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_find_collision_random_encoders(n):
-    # seeds 6 and 12 have zeros hiding in knot slabs ~1e-2 wide
+    # piecewise-linear seeds 6 and 12 have zeros hiding in knot slabs ~1e-2
+    # wide; the MLP encoders take the sorted-Newton stage
     for seed in (0, 1, 6, 12):
-        phi = random_piecewise_linear(n, seed=seed)
-        cert = find_collision(phi, seed=seed)
-        assert cert.phi_residual <= 1e-8 * (1.0 + phi.scale())
-        assert cert.M == n + 1 and cert.N == n
-        # the certificate is honest: recompute the pooled difference
-        direct = np.max(
-            np.abs(pooled_encoding(phi, cert.x_plus) - pooled_encoding(phi, cert.x_minus))
-        )
-        assert direct == cert.phi_residual
+        for phi in (random_piecewise_linear(n, seed=seed), random_mlp_encoder(n, seed=seed)):
+            cert = find_collision(phi, seed=seed)
+            assert cert.phi_residual <= 1e-8 * (1.0 + phi.scale())
+            assert cert.M == n + 1 and cert.N == n
+            # the certificate is honest: recompute the pooled difference
+            direct = np.max(
+                np.abs(pooled_encoding(phi, cert.x_plus) - pooled_encoding(phi, cert.x_minus))
+            )
+            assert direct == cert.phi_residual
+            # a search that stops within 32 starts is the same at the default
+            # budget: its first 32 Sobol' starts are the ones a budget of 32 draws
+            small = find_collision(phi, seed=seed, budget=32)
+            assert dumps(cert.to_config()) == dumps(small.to_config())
 
 
 def test_find_collision_budget_exhaustion():
@@ -301,9 +306,18 @@ def test_find_collision_budget_exhaustion():
     with pytest.raises(SearchExhausted) as info:
         find_collision(phi, tol_zero=0.0, budget=2)
     assert info.value.best_residual > 0.0
-    # both stages ran: 2 sorted-newton starts, then 2n face centers + 2 more
-    assert info.value.trace["starts"] == 2 + (4 + 2)
-    assert [s["name"] for s in info.value.trace["stages"]] == ["sorted-newton", "multistart-nm"]
+    # budget counts the sorted-Newton starts, and nothing runs after them
+    assert info.value.trace["starts"] == 2
+    assert [s["name"] for s in info.value.trace["stages"]] == ["sorted-newton"]
+
+
+def test_find_collision_default_budget_certifies_mlp_encoder():
+    # 32 starts leave this encoder at a best residual of 2.3e-3; the default
+    # budget reaches a zero
+    phi = random_mlp_encoder(6, seed=1)
+    cert = find_collision(phi)
+    assert cert.phi_residual <= 1e-8 * (1.0 + phi.scale())
+    assert [s["name"] for s in cert.search_trace["stages"]] == ["sorted-newton"]
 
 
 def test_find_collision_sobol_starts_keep_their_balance():
@@ -319,6 +333,10 @@ def test_find_collision_sobol_starts_keep_their_balance():
 def test_find_collision_size_check():
     with pytest.raises(SizeError):
         find_collision(monomial_family(2), M=4)
+    # a search needs at least one start
+    for budget in (0, -3):
+        with pytest.raises(SizeError):
+            find_collision(monomial_family(2), budget=budget)
 
 
 def test_certificate_round_trip(tmp_path):

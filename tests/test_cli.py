@@ -42,22 +42,36 @@ def _write_json(path, obj):
     return str(path)
 
 
-def _run_cli(argv, **env):
-    """Run the setlab command line in a fresh interpreter."""
+def _run_python(args, **env):
+    """Run a fresh interpreter that imports this setlab package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(setlab.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-m", "setlab.cli", *argv],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
     )
 
 
+def _run_cli(argv, **env):
+    """Run the setlab command line in a fresh interpreter."""
+    return _run_python(["-m", "setlab.cli", *argv], **env)
+
+
 def _read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+def test_import_loads_no_scipy():
+    # scipy costs more to import than the rest of the package, so only the
+    # collision search's Sobol' starts import it, when they are drawn
+    code = "import sys, setlab, setlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # verify
@@ -89,12 +103,19 @@ def test_verify_zero_tolerance_override_exits_one(tmp_path):
     assert json.loads(out.read_text())["summary"]["fail"] > 0
 
 
-def test_verify_rejects_unknown_suite_and_bad_budget():
+def test_verify_rejects_unknown_suite_and_bad_budget(tmp_path):
     assert main(["verify", "--suite", "set_core"]) == 2
     assert main(["verify", "--suite", "all", "--budget", "0"]) == 2
     # a tolerance override must be a finite number >= 0
     for tol in ("inf", "nan", "-1"):
         proc = _run_cli(["verify", "--suite", "janossy", "--budget", "0.01", "--tol", tol])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+    # a collision search needs at least one start
+    phi = tmp_path / "phi.json"
+    save_phispec(random_piecewise_linear(2, seed=7), str(phi))
+    for budget in ("0", "-1"):
+        proc = _run_cli(["collide", str(phi), "--budget", budget])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
