@@ -45,7 +45,6 @@ from .nnet import (
     train,
 )
 from .pooling import (
-    TupleEnumeration,
     enumerate_ktuples,
     janossy_pool,
     max_decomp_counterexample,

@@ -31,9 +31,12 @@ def gamma_batch(Z, phi):
     n = Z.shape[1]
     if phi.N != n:
         raise DomainError(f"encoder output dim {phi.N} must match point dim {n}")
-    base = phi.eval(np.array([-1.0, 1.0]))  # rows: phi(-1), phi(1)
+    # one evaluation: Z's entries, then phi(-1) and phi(1)
+    vals = phi.eval(np.concatenate([Z.reshape(-1), [-1.0, 1.0]]))
+    low, high = vals[-2], vals[-1]
     signs = (-1.0) ** np.arange(1, n + 1)
-    return np.einsum("i,bij->bj", signs, phi.eval(Z) - base[0]) + 0.5 * (base[1] - base[0])
+    shifted = vals[:-2].reshape(*Z.shape, phi.N) - low
+    return np.einsum("i,bij->bj", signs, shifted) + 0.5 * (high - low)
 
 
 def gamma(z, phi):

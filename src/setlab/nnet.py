@@ -190,7 +190,7 @@ def canonical_grid(M, resolution):
 def grid_error(model, task, M, resolution):
     """Max |model - target| over the canonical grid (C(resolution+M-1, M) points)."""
     grid = canonical_grid(M, resolution)
-    return float(np.max(np.abs(model.forward_trace(grid)[0][:, 0] - _target(task, grid))))
+    return float(np.max(np.abs(deepsets_eval_batch(model, grid) - _target(task, grid))))
 
 
 def train(config):

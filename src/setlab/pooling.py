@@ -9,7 +9,6 @@ max-pooling cannot tell apart even though their sums differ.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,44 +20,38 @@ TUPLE_CAP = 10**7
 FACTORIAL_CAP = 8
 
 
-@dataclass(frozen=True)
-class TupleEnumeration:
-    """All k-tuples of distinct indices from range(M), lexicographic."""
-
-    M: int
-    k: int
-    tuples: tuple
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-
 def enumerate_ktuples(M, k):
-    """Lexicographic k-tuples with distinct entries; P(M,k) = M!/(M-k)! of them."""
+    """The P(M,k) = M!/(M-k)! k-tuples of distinct indices from range(M), as the
+    lexicographic rows of a (P(M,k), k) index array."""
     M, k = int(M), int(k)
     if not 1 <= k <= M <= 10:
         raise SizeError(f"need 1 <= k <= M <= 10, got k={k}, M={M}")
     if math.perm(M, k) > TUPLE_CAP:
         raise SizeError(f"P({M},{k}) = {math.perm(M, k)} exceeds the {TUPLE_CAP} tuple cap")
-    return TupleEnumeration(M, k, tuple(itertools.permutations(range(M), k)))
+    flat = itertools.chain.from_iterable(itertools.permutations(range(M), k))
+    return np.fromiter(flat, dtype=np.intp, count=math.perm(M, k) * k).reshape(-1, k)
 
 
-def _exact_mean(rows, count):
-    """Mean of float vectors with exact rational accumulation, rounded once.
+def _unrank_permutations(ranks, M):
+    """Lehmer decoding: row r is the ranks[r]-th permutation of range(M) in
+    lexicographic order, i.e. row ranks[r] of enumerate_ktuples(M, M)."""
+    radix = np.arange(M, 0, -1)  # entry i is a rank among the M - i entries unused before it
+    out = ranks[:, None] // np.array([math.factorial(r - 1) for r in radix]) % radix
+    for i in range(M - 2, -1, -1):  # ranks among the unused entries to values
+        out[:, i + 1 :] += out[:, i + 1 :] >= out[:, i : i + 1]
+    return out
 
-    Floats are dyadic rationals, so summing them as Fractions is exact; the
-    single rounding at the end makes algebraically equal pooling reductions
-    (e.g. k-ary over a first-element-only map vs. unary) bit-identical.
+
+def _pool(x, index, phi):
+    """Mean of phi (scalar or vector valued) over the rows x[index[i]] of a
+    (P, k) index array, one length-k vector per call.
+
+    Floats are dyadic rationals, so their Fraction sum is exact: algebraically
+    equal reductions (k-ary over a first-element-only map vs. unary, all M!
+    sampled orderings vs. the full average) round once to the same bits.
     """
-    dim = rows[0].size
-    totals = [Fraction(0)] * dim
-    for row in rows:
-        for j in range(dim):
-            totals[j] += Fraction(float(row[j]))
-    return np.array([float(t / count) for t in totals])
+    rows = np.array([np.atleast_1d(np.asarray(phi(x[i]), dtype=float)) for i in index])
+    return np.array([float(sum(map(Fraction, col.tolist())) / len(index)) for col in rows.T])
 
 
 def janossy_pool(x, k, phi, rho=None):
@@ -68,31 +61,19 @@ def janossy_pool(x, k, phi, rho=None):
     maps the pooled vector to a float. Permutation-invariant by construction.
     """
     x = as_set_input(x)
-    tuples = enumerate_ktuples(x.size, k)
-    rows = [np.atleast_1d(np.asarray(phi(x[list(t)]), dtype=float)) for t in tuples]
-    pooled = _exact_mean(rows, len(tuples))
+    pooled = _pool(x, enumerate_ktuples(x.size, k), phi)
     if rho is None:
         return float(pooled[0]) if pooled.size == 1 else pooled
     return float(rho(pooled))
-
-
-def _unrank_permutation(rank, M):
-    """Lehmer decoding: the rank-th permutation of range(M) in lexicographic order."""
-    digits = []
-    for base in range(1, M + 1):
-        rank, digit = divmod(rank, base)
-        digits.append(digit)
-    remaining = list(range(M))
-    return tuple(remaining.pop(d) for d in reversed(digits))
 
 
 def sampled_pool(x, g, p, seed):
     """Mean of g over p permutations of x drawn uniformly without replacement.
 
     Deterministic given the seed: a seeded shuffle of the M! permutation ranks
-    picks the sample, each rank is Lehmer-decoded to an ordering, and the mean
-    uses the same exact rational accumulation as janossy_pool — so p = M!
-    reproduces the full average bit-for-bit no matter the seed.
+    picks the sample, only those p ranks are Lehmer-decoded to orderings, and
+    the mean is the same exact one as janossy_pool's — so p = M! reproduces
+    the full average bit-for-bit no matter the seed. g must return a scalar.
     """
     x = as_set_input(x)
     M = x.size
@@ -103,9 +84,8 @@ def sampled_pool(x, g, p, seed):
     if not 1 <= p <= total:
         raise SizeError(f"need 1 <= p <= M! = {total}, got p={p}")
     rng = np.random.default_rng(seed)
-    ranks = np.sort(rng.permutation(total)[:p])
-    rows = [np.atleast_1d(float(g(x[list(_unrank_permutation(int(r), M))]))) for r in ranks]
-    return float(_exact_mean(rows, p)[0])
+    (mean,) = _pool(x, _unrank_permutations(np.sort(rng.permutation(total)[:p]), M), g)
+    return float(mean)
 
 
 def sorted_eval(x, g):

@@ -275,17 +275,6 @@ def _fit_multiset(v, counts, p):
     return np.sort(np.repeat(best, counts))[::-1]
 
 
-def _block_structures(m):
-    """Block-size compositions of m (for sorted roots), fewest blocks first."""
-    out = []
-    for mask in range(2 ** (m - 1)):
-        cuts = [i + 1 for i in range(m - 1) if mask >> i & 1]
-        bounds = [0, *cuts, m]
-        out.append(tuple(b - a for a, b in zip(bounds[:-1], bounds[1:])))
-    out.sort(key=len)
-    return out
-
-
 def _repair(roots, coeffs, p):
     """The multiset behind one row whose plain roots miss p, or None."""
     # multiple roots splay into small complex rings, so walk the clusterings
@@ -299,11 +288,15 @@ def _repair(roots, coeffs, p):
                 return u
     # nearby multiple roots splay into overlapping rings no clustering can
     # separate, but the sorted real parts still split into blocks per true
-    # root; fit every block structure directly against p
+    # root, with the widest gaps between blocks; fit the structures cut at
+    # the j largest gaps, j = 0..M-1, directly against p, so that refusing an
+    # off-image row costs at most 2M fits, not one per block composition
     r = np.sort(roots.real)
-    for counts in _block_structures(roots.size):
-        bounds = np.cumsum((0,) + counts)
-        u = _fit_multiset([r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])], counts, p)
+    widest = np.argsort(-np.diff(r), kind="stable")  # ties: lower position first
+    for j in range(r.size):
+        bounds = np.concatenate([[0], np.sort(widest[:j]) + 1, [r.size]])
+        means = [r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
+        u = _fit_multiset(means, np.diff(bounds), p)
         if _reproduces(u, p):
             return u
     return None

@@ -151,6 +151,26 @@ def test_gamma_validates_input():
         gamma(np.array([0.5]), phi)  # dim mismatch
 
 
+def test_gamma_batch_evaluates_encoder_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    cases = []
+    for n in (1, 3):
+        Z = np.sort(rng.uniform(-1.0, 1.0, size=(17, n)), axis=1)[:, ::-1]
+        for phi in reference_encoders(n):
+            # oracle: the boundary rows phi(-1), phi(1) in a call of their own
+            base = phi.eval(np.array([-1.0, 1.0]))
+            signs = (-1.0) ** np.arange(1, n + 1)
+            expected = np.einsum("i,bij->bj", signs, phi.eval(Z) - base[0])
+            cases.append((Z, phi, expected + 0.5 * (base[1] - base[0])))
+    real_eval = PhiSpec.eval
+    calls = []
+    monkeypatch.setattr(PhiSpec, "eval", lambda self, v: calls.append(v) or real_eval(self, v))
+    for Z, phi, expected in cases:
+        calls.clear()
+        assert np.array_equal(gamma_batch(Z, phi), expected)
+        assert len(calls) == 1
+
+
 def test_gamma_left_shift_antisymmetry():
     rng = np.random.default_rng(11)
     for n in range(2, 6):

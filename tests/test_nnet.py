@@ -22,6 +22,7 @@ from setlab import (
     train,
 )
 from setlab.approx.collision import gamma_batch
+from setlab.sets import f_star
 
 
 def _linear_mlp(w, b):
@@ -307,6 +308,17 @@ def test_canonical_grid_shape_and_order():
     assert np.all(np.diff(grid, axis=1) <= 0)
     np.testing.assert_array_equal(grid[0], [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(grid[-1], [-1.0, -1.0, -1.0])
+
+
+def test_grid_error_evaluates_like_deepsets_eval():
+    # one evaluation path: the grid error is read off deepsets_eval's values;
+    # at this size the trainer's GEMM pass, pooled by plain summation, gives
+    # other bits
+    wide = dict(phi_hidden=(32, 32), rho_hidden=(32, 32))
+    model, _ = train(_small_config(M=4, N=4, seed=0, epochs=5, **wide))
+    for task, target in (("f_star", f_star), ("max", max)):
+        want = max(abs(deepsets_eval(model, row) - target(row)) for row in canonical_grid(4, 7))
+        assert grid_error(model, task, 4, 7) == want
 
 
 def test_grid_error_of_zero_model():

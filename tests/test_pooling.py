@@ -19,20 +19,19 @@ from setlab import (
     sampled_pool,
     sorted_eval,
 )
-from setlab.pooling import _unrank_permutation
+from setlab.pooling import _unrank_permutations
 
 
 def test_enumerate_ktuples_counts():
     assert len(enumerate_ktuples(4, 2)) == 12
     assert len(enumerate_ktuples(3, 3)) == 6
-    assert enumerate_ktuples(5, 1).tuples == tuple((i,) for i in range(5))
+    assert enumerate_ktuples(5, 1).tolist() == [[i] for i in range(5)]
 
 
 def test_enumerate_ktuples_lexicographic_distinct():
     enum = enumerate_ktuples(4, 2)
-    assert list(enum) == sorted(enum)
-    assert all(len(set(t)) == 2 for t in enum)
-    assert enum.M == 4 and enum.k == 2
+    assert enum.shape == (12, 2) and enum.dtype == np.intp
+    assert enum.tolist() == [list(t) for t in itertools.permutations(range(4), 2)]
 
 
 @pytest.mark.parametrize("M,k", [(3, 0), (3, 4), (11, 2), (0, 0)])
@@ -113,8 +112,13 @@ def test_sampled_pool_rejects():
 
 
 def test_unrank_permutation_covers_lexicographic():
-    perms = [_unrank_permutation(r, 3) for r in range(6)]
-    assert perms == sorted(itertools.permutations(range(3)))
+    rng = np.random.default_rng(0)
+    for M in range(1, 9):
+        table = enumerate_ktuples(M, M)
+        assert np.array_equal(_unrank_permutations(np.arange(len(table)), M), table)
+        # a sorted draw of a few ranks decodes to the same rows of the table
+        ranks = np.sort(rng.permutation(len(table))[:3])
+        assert np.array_equal(_unrank_permutations(ranks, M), table[ranks])
 
 
 def test_sampled_variance_law():

@@ -91,6 +91,26 @@ def test_decode_rejects_infeasible():
         power_sum_decode([1e300, 1e300, 1e300], 3)  # its polynomial overflows
 
 
+def test_decode_rejects_off_image_latent_in_polynomially_many_fits(monkeypatch):
+    # block repair tries M gap cuts, not all 2^(M-1) block structures, so a
+    # refused M = 12 row costs at most M dendrogram fits plus M block fits
+    fits = []
+    fit = powersum._fit_multiset
+
+    def counting(v, counts, p):
+        fits.append(len(counts))
+        return fit(v, counts, p)
+
+    monkeypatch.setattr(powersum, "_fit_multiset", counting)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        p = power_sum_encode(rng.uniform(-1.0, 1.0, size=12)) + rng.normal(0.0, 1e-3, size=12)
+        fits.clear()
+        with pytest.raises(InfeasibleLatent):
+            power_sum_decode(p, 12)
+        assert 0 < len(fits) <= 2 * 12
+
+
 def test_decode_validates_input():
     with pytest.raises(DomainError):
         power_sum_decode([1.0, np.nan], 2)
