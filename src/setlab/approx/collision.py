@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# scipy.stats is imported inside the search that uses it: it costs more than
-# the rest of `import setlab`, and codec-only users never need it
 from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
 from ..errors import CertMismatch, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
@@ -194,15 +192,6 @@ def _pwl_interval_zeros(phi, n):
     return [(float(r), z) for r, z in zip(R, Zc)]
 
 
-def _sobol_starts(n, count, seed):
-    """Scrambled-Sobol points in the cube [-1, 1]^n: count rounded up to a power
-    of two, the only sizes at which Sobol' points keep their balance."""
-    from scipy.stats import qmc
-
-    log2 = max(count - 1, 0).bit_length()
-    return 2.0 * qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(log2) - 1.0
-
-
 def _bisect_1d(phi):
     """N=1: the boundary values are exact opposites, so bisection is enough."""
     g = lambda t: float(gamma_batch(np.array([[t]]), phi)[0, 0])
@@ -230,22 +219,21 @@ def _bisect_1d(phi):
     return np.array([best_t]), trace
 
 
-def find_collision(phi, M=None, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
+def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     """Search for a simplex point whose opposing-face lifts pool identically.
 
     Returns a CollisionCertificate whose phi_residual is at most
     tol_zero * (1 + max|phi|); raises SearchExhausted (with the best residual
     and full trace) if the budget runs out first. A zero of the composed field
     always exists, so exhaustion means the budget was too small, not that no
-    collision exists. budget is the number of sorted-Newton starts (default
-    256), rounded up to a power of two; a budget below 1 is a SizeError.
+    collision exists; the sets have M = phi.N + 1 elements. budget is the
+    number of sorted-Newton starts (default 256), drawn uniform in [-1, 1]^N
+    one at a time from np.random.default_rng(seed), so a larger budget begins
+    with the starts of a smaller one; a budget below 1 is a SizeError.
     """
     if budget < 1:
         raise SizeError(f"collision search needs a budget of at least 1 start; got {budget}")
     n = phi.N
-    m = n + 1 if M is None else int(M)
-    if m != n + 1:
-        raise SizeError(f"collision search requires M = N+1; got N={n}, M={m}")
     scale = phi.scale()
     tol_cert = tol_zero * (1.0 + scale)
 
@@ -293,9 +281,10 @@ def find_collision(phi, M=None, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
         def field(W):
             return gamma_batch(-np.sort(-W, axis=1), phi)
 
+        rng = np.random.default_rng(seed)
         newton = []
-        for w0 in _sobol_starts(n, budget, seed):
-            w, r = _damped_newton(field, w0, NEWTON_STEPS, stop_tol)
+        for _ in range(budget):
+            w, r = _damped_newton(field, rng.uniform(-1.0, 1.0, n), NEWTON_STEPS, stop_tol)
             newton.append(r)
             pool.append((r, len(pool), -np.sort(-w)))
             if r <= stop_tol:

@@ -38,18 +38,9 @@ def cmd_verify(suite="all", seed=0, out_path=None, tol=None, budget=1.0):
     return report
 
 
-def cmd_collide(phi_path, M=None, tol=1e-8, budget=NEWTON_STARTS, out_path=None, seed=0):
-    """Certify a pooled-encoding collision for the encoder stored at phi_path.
-
-    M defaults to the only feasible value, one more than the encoder's output
-    dimension; passing any other M is a configuration error.
-    """
-    phi = load_phispec(phi_path)
-    if M is not None and int(M) != phi.N + 1:
-        raise ConfigError(
-            f"encoder output dim {phi.N} requires M = {phi.N + 1}, got M={int(M)}"
-        )
-    cert = find_collision(phi, M=M, tol_zero=tol, budget=budget, seed=seed)
+def cmd_collide(phi_path, tol=1e-8, budget=NEWTON_STARTS, out_path=None, seed=0):
+    """Certify a pooled-encoding collision for the encoder stored at phi_path."""
+    cert = find_collision(load_phispec(phi_path), tol_zero=tol, budget=budget, seed=seed)
     if out_path is not None:
         save_certificate(cert, out_path, seed=seed)
     return cert
@@ -210,7 +201,7 @@ def _build_parser():
         "--budget",
         type=int,
         default=NEWTON_STARTS,
-        help="sorted-Newton starts, rounded up to a power of two (default %(default)s)",
+        help="most sorted-Newton starts to run (default %(default)s)",
     )
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the certificate (or failure trace) here")

@@ -9,7 +9,7 @@ samples — deterministic down to the parameter bits given the config.
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -149,22 +149,10 @@ class TrainConfig:
 
     @classmethod
     def from_config(cls, cfg):
+        # each field given in cfg, converted by its annotated type; the rest
+        # keep their defaults, and a missing required field is a TypeError
         try:
-            return cls(
-                task=cfg["task"],
-                M=int(cfg["M"]),
-                N=int(cfg["N"]),
-                seed=int(cfg["seed"]),
-                epochs=int(cfg.get("epochs", 2000)),
-                batch=int(cfg.get("batch", 256)),
-                step=float(cfg.get("step", 0.05)),
-                decay=cfg.get("decay", "cosine"),
-                data=cfg.get("data", "uniform+grid"),
-                n_samples=int(cfg.get("n_samples", 2048)),
-                phi_hidden=tuple(cfg.get("phi_hidden", (32, 32))),
-                rho_hidden=tuple(cfg.get("rho_hidden", (32, 32))),
-                grid_resolution=int(cfg.get("grid_resolution", 21)),
-            )
+            return cls(**{f.name: f.type(cfg[f.name]) for f in fields(cls) if f.name in cfg})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed train config: {exc}") from None
 

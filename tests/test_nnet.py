@@ -265,6 +265,15 @@ def test_train_config_validation():
     assert TrainConfig.from_config(cfg.to_config()).content_hash() == cfg.content_hash()
 
 
+def test_train_config_from_config_keeps_the_dataclass_defaults():
+    required = {"task": "f_star", "M": 3, "N": 2, "seed": 7}
+    assert TrainConfig.from_config(required) == TrainConfig(**required)
+    # a missing required key or a value of the wrong type is a ConfigError
+    for cfg in ({"task": "f_star", "M": 3, "N": 2}, {**required, "epochs": "many"}, {**required, "phi_hidden": 8}):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_config(cfg)
+
+
 def _small_config(**overrides):
     base = dict(
         task="f_star", M=3, N=3, seed=3, epochs=40, batch=64,
