@@ -11,7 +11,6 @@ from .errors import (
     SetlabError,
     ShapeError,
     SizeError,
-    UnsupportedDim,
 )
 from .sets import FacePoint, as_set_input, as_simplex, build_face_pair, canonicalize, f_star
 from .powersum import (

@@ -26,22 +26,11 @@ def format_float(value):
     return format(value, ".17g")
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars to plain Python."""
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
 def _write(obj, parts, indent, level, sort_keys):
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     end_pad = "" if indent is None else "\n" + " " * (indent * level)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # NumPy arrays and scalars as plain Python
     if obj is None or isinstance(obj, bool):
         parts.append(json.dumps(obj))
     elif isinstance(obj, int):
@@ -51,14 +40,13 @@ def _write(obj, parts, indent, level, sort_keys):
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
         keys = sorted(obj) if sort_keys else list(obj)
         if not keys:
             parts.append("{}")
             return
         parts.append("{")
         for i, k in enumerate(keys):
-            if not isinstance(k, str):
-                raise TypeError(f"non-string key {k!r}")
             parts.append(pad + json.dumps(k) + (": " if indent else ":"))
             _write(obj[k], parts, indent, level + 1, sort_keys)
             if i < len(keys) - 1:
@@ -82,7 +70,7 @@ def _write(obj, parts, indent, level, sort_keys):
 def dumps(obj, indent=2, sort_keys=False):
     """Serialize to JSON text with 17-significant-digit floats."""
     parts = []
-    _write(to_jsonable(obj), parts, indent, 0, sort_keys)
+    _write(obj, parts, indent, 0, sort_keys)
     return "".join(parts)
 
 

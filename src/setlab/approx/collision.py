@@ -198,10 +198,9 @@ def _bisect_1d(phi):
     lo, hi = -1.0, 1.0
     glo, ghi = g(lo), g(hi)
     iterations = 0
+    # gamma(-1) = -gamma(1) exactly, so ghi is 0 only when glo is
     if glo == 0.0:
         best_t, best_r = lo, 0.0
-    elif ghi == 0.0:
-        best_t, best_r = hi, 0.0
     else:
         best_t, best_r = (lo, abs(glo)) if abs(glo) < abs(ghi) else (hi, abs(ghi))
         for iterations in range(1, 200):
@@ -214,9 +213,17 @@ def _bisect_1d(phi):
             if (gm > 0) == (glo > 0):
                 lo, glo = mid, gm
             else:
-                hi, ghi = mid, gm
+                hi = mid
     trace = {"method": "bisection", "starts": 1, "iterations": iterations, "best_residual": best_r}
     return np.array([best_t]), trace
+
+
+def _staged_certificate(phi, pool, stages):
+    """Certificate of the pool's lowest-residual point, earliest on ties."""
+    best_r, _, best_z = min(pool, key=lambda c: (c[0], c[1]))
+    starts = sum(s["starts"] for s in stages)
+    trace = {"method": "staged", "starts": starts, "stages": stages, "best_residual": best_r}
+    return _certificate(phi, best_z, trace)
 
 
 def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
@@ -226,10 +233,12 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     tol_zero * (1 + max|phi|); raises SearchExhausted (with the best residual
     and full trace) if the budget runs out first. A zero of the composed field
     always exists, so exhaustion means the budget was too small, not that no
-    collision exists; the sets have M = phi.N + 1 elements. budget is the
-    number of sorted-Newton starts (default 256), drawn uniform in [-1, 1]^N
-    one at a time from np.random.default_rng(seed), so a larger budget begins
-    with the starts of a smaller one; a budget below 1 is a SizeError.
+    collision exists; the sets have M = phi.N + 1 elements. A piecewise-linear
+    encoder's knot-interval boxes are enumerated first, and Newton runs only
+    when no enumerated point certifies. budget is the most sorted-Newton
+    starts (default 256), drawn uniform in [-1, 1]^N one at a time from
+    np.random.default_rng(seed), so a larger budget begins with the starts of
+    a smaller one; a budget below 1 is a SizeError.
     """
     if budget < 1:
         raise SizeError(f"collision search needs a budget of at least 1 start; got {budget}")
@@ -241,8 +250,7 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     probe = np.linspace(-1.0, 1.0, 257)
     shifted = phi.eval(probe) - phi.eval(np.array([-1.0]))[0]
     if np.max(np.abs(shifted)) <= 1e-13 * (1.0 + scale):
-        cert = _certificate(phi, -np.ones(n), {"method": "degenerate", "starts": 0, "best_residual": 0.0})
-        return cert
+        return _certificate(phi, -np.ones(n), {"method": "degenerate", "starts": 0, "best_residual": 0.0})
 
     if n == 1:
         z_star, trace = _bisect_1d(phi)
@@ -272,39 +280,37 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
                 "best_residual": min((r for r, _ in enum), default=float("inf")),
             })
 
+    # a certified enumeration point ends the search
+    if pool:
+        cert = _staged_certificate(phi, pool, stages)
+        if cert.phi_residual <= tol_cert:
+            return cert
+
     # then Newton in sorted coordinates, one start at a time until a start
     # reaches stop_tol. The map is a sum of one-dimensional terms, so in
     # unsorted coordinates its zero set carries n! mirror copies and every
     # start chases the nearest copy, which makes the basins far wider than in
     # the cube parameterization
-    if not pool or min(c[0] for c in pool) > stop_tol:
-        def field(W):
-            return gamma_batch(-np.sort(-W, axis=1), phi)
+    def field(W):
+        return gamma_batch(-np.sort(-W, axis=1), phi)
 
-        rng = np.random.default_rng(seed)
-        newton = []
-        for _ in range(budget):
-            w, r = _damped_newton(field, rng.uniform(-1.0, 1.0, n), NEWTON_STEPS, stop_tol)
-            newton.append(r)
-            pool.append((r, len(pool), -np.sort(-w)))
-            if r <= stop_tol:
-                break
-        stages.append({"name": "sorted-newton", "starts": len(newton), "best_residual": min(newton)})
+    rng = np.random.default_rng(seed)
+    newton = []
+    for _ in range(budget):
+        w, r = _damped_newton(field, rng.uniform(-1.0, 1.0, n), NEWTON_STEPS, stop_tol)
+        newton.append(r)
+        pool.append((r, len(pool), -np.sort(-w)))
+        if r <= stop_tol:
+            break
+    stages.append({"name": "sorted-newton", "starts": len(newton), "best_residual": min(newton)})
 
-    best_r, best_order, best_z = min(pool, key=lambda c: (c[0], c[1]))
-    trace = {
-        "method": "staged",
-        "starts": sum(s["starts"] for s in stages),
-        "stages": stages,
-        "best_residual": best_r,
-    }
-    cert = _certificate(phi, best_z, trace)
+    cert = _staged_certificate(phi, pool, stages)
     if cert.phi_residual <= tol_cert:
         return cert
     raise SearchExhausted(
         f"no zero certified within budget (best residual {cert.phi_residual})",
         best_residual=cert.phi_residual,
-        trace=trace,
+        trace=cert.search_trace,
     )
 
 

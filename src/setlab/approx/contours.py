@@ -7,15 +7,13 @@ so two runs produce byte-identical files.
 
 import numpy as np
 
-from ..errors import ConfigError, DomainError, UnsupportedDim
+from ..errors import ConfigError, DomainError
 
 
-def emit_contour_grid(fn, M=2, resolution=201):
+def emit_contour_grid(fn, resolution=201):
     """Rows (x, y, value) of fn on a resolution x resolution grid. fn maps an
     (n, 2) array of points to n values and is called once per x value, so its
     working memory does not grow with the grid."""
-    if M != 2:
-        raise UnsupportedDim(f"contour grids are planar only (M=2), got M={M}")
     if not resolution >= 2:
         raise ConfigError(f"resolution must be at least 2, got {resolution}")
     axis = np.linspace(-1.0, 1.0, int(resolution))

@@ -98,10 +98,8 @@ def load_phispec(path):
     return PhiSpec.from_config(load_file(path))
 
 
-def shifted_linear(n=1):
+def shifted_linear():
     """The analytic warm-up encoder phi(x) = x + 1 (N=1)."""
-    if n != 1:
-        raise ConfigError("shifted_linear is one-dimensional")
     return PhiSpec("piecewise_linear", 1, [[[-1.0, 0.0], [1.0, 2.0]]])
 
 

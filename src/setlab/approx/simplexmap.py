@@ -72,11 +72,9 @@ def nu_batch(X):
     return nu_pair_batch(X)[0]
 
 
-def nu(x, n=None):
+def nu(x):
     """Map one cube point to the ordered simplex."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError(f"cube point must be a non-empty 1-D vector, got shape {x.shape}")
-    if n is not None and x.size != n:
-        raise DomainError(f"expected a point of I_{n}, got {x.size} coordinates")
     return nu_pair_batch(x[None, :])[0][0]

@@ -30,14 +30,6 @@ from .sets import f_star_batch
 from .verify import SUITES, run_suite
 
 
-def cmd_verify(suite="all", seed=0, out_path=None, tol=None, budget=1.0):
-    """Run one verification suite; writes the JSON report when out_path is given."""
-    report = run_suite(suite, seed=seed, tol=tol, scale=budget)
-    if out_path is not None:
-        dump_file(report, out_path)
-    return report
-
-
 def cmd_collide(phi_path, tol=1e-8, budget=NEWTON_STARTS, out_path=None, seed=0):
     """Certify a pooled-encoding collision for the encoder stored at phi_path."""
     cert = find_collision(load_phispec(phi_path), tol_zero=tol, budget=budget, seed=seed)
@@ -68,9 +60,9 @@ def _contour_fn(name, params):
     )
 
 
-def cmd_contours(fn, M=2, resolution=201, params=None, out_path=None):
+def cmd_contours(fn, resolution=201, params=None, out_path=None):
     """Planar contour grid of a named function or a trained checkpoint, as CSV rows."""
-    rows = emit_contour_grid(_contour_fn(fn, params or {}), M=M, resolution=resolution)
+    rows = emit_contour_grid(_contour_fn(fn, params or {}), resolution=resolution)
     if out_path is not None:
         write_contour_csv(rows, out_path)
     return rows
@@ -102,9 +94,9 @@ def cmd_train(config_path, out_dir, seed=None):
 
 
 def _run_verify(args):
-    report = cmd_verify(
-        args.suite, seed=args.seed, out_path=args.out, tol=args.tol, budget=args.budget
-    )
+    report = run_suite(args.suite, seed=args.seed, tol=args.tol, scale=args.budget)
+    if args.out is not None:
+        dump_file(report, args.out)
     for row in report["checks"]:
         print(
             f"{row['status']:<4s} {row['name']}"

@@ -34,12 +34,8 @@ class CertMismatch(SetlabError):
     """A certificate does not belong to the encoder it is being used against."""
 
 
-class UnsupportedDim(SetlabError):
-    """The operation only supports a specific input dimension (planar grids)."""
-
-
 class ProbeDegenerate(SetlabError):
-    """No usable probe set found for the max-decomposition counterexample."""
+    """Supplied probes give no max-decomposition counterexample."""
 
 
 class DivergenceError(SetlabError):

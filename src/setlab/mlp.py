@@ -12,29 +12,25 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 
 def _activate(name, a):
     if name == "tanh":
         return np.tanh(a)
-    if name == "relu":
-        return np.maximum(a, 0.0)
     return a
 
 
 def _activation_slope(name, a, h):
     if name == "tanh":
         return 1.0 - h * h
-    if name == "relu":
-        return (a > 0.0).astype(float)  # subgradient 0 at the kink
     return np.ones_like(a)
 
 
 @dataclass
 class Mlp:
     """Fully connected layers; weights are (fan_out, fan_in), one activation
-    name per layer ("tanh", "relu", or "identity")."""
+    name per layer ("tanh" or "identity")."""
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)

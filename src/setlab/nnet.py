@@ -149,17 +149,30 @@ class TrainConfig:
 
     @classmethod
     def from_config(cls, cfg):
-        # each field given in cfg, converted by its annotated type; the rest
-        # keep their defaults, and a missing required field is a TypeError
+        # each field given in cfg must hold a JSON value of its annotated type
+        # and is converted by that type; the rest keep their defaults, and a
+        # missing required field is a TypeError
+        given = {f.name: f.type for f in fields(cls) if f.name in cfg}
+        wrong = [name for name, kind in given.items() if not _json_fits(kind, cfg[name])]
+        if wrong:
+            raise ConfigError(f"train config fields {wrong} hold JSON values of the wrong type")
         try:
-            return cls(**{f.name: f.type(cfg[f.name]) for f in fields(cls) if f.name in cfg})
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{name: kind(cfg[name]) for name, kind in given.items()})
+        except TypeError as exc:
             raise ConfigError(f"malformed train config: {exc}") from None
 
     def content_hash(self):
         cfg = self.to_config()
         cfg.pop("schema")
         return config_hash(cfg)
+
+
+def _json_fits(kind, value):
+    """Whether a JSON value is of a TrainConfig field type: an integer for int
+    (never a bool), any number for float, a list of integers for tuple."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_json_fits(int, v) for v in value)
+    return isinstance(value, {int: int, float: (int, float), str: str}[kind]) and not isinstance(value, bool)
 
 
 def _target(task, rows):

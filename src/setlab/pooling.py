@@ -54,17 +54,14 @@ def _pool(x, index, phi):
     return np.array([float(sum(map(Fraction, col.tolist())) / len(index)) for col in rows.T])
 
 
-def janossy_pool(x, k, phi, rho=None):
-    """rho of the mean of phi over all distinct-entry k-tuples of x.
-
-    phi maps a length-k vector to a scalar or vector; rho (default identity)
-    maps the pooled vector to a float. Permutation-invariant by construction.
+def janossy_pool(x, k, phi):
+    """The mean of phi over all distinct-entry k-tuples of x: a float when phi
+    maps a length-k vector to a scalar, else a vector. Permutation-invariant
+    by construction.
     """
     x = as_set_input(x)
     pooled = _pool(x, enumerate_ktuples(x.size, k), phi)
-    if rho is None:
-        return float(pooled[0]) if pooled.size == 1 else pooled
-    return float(rho(pooled))
+    return float(pooled[0]) if pooled.size == 1 else pooled
 
 
 def sampled_pool(x, g, p, seed):
@@ -93,54 +90,26 @@ def sorted_eval(x, g):
     return float(g(canonicalize(x)))
 
 
-def _max_counterexample_attempt(phi, probes):
-    """One construction pass; None if the sum gap is below the validity floor."""
-    outputs = phi.eval(probes)  # (M, N)
-    mu = np.argmax(outputs, axis=0)
-    untouched = sorted(set(range(probes.size)) - set(int(i) for i in mu))
-    if not untouched:
-        return None
-    m = untouched[0]
-    x_tilde = probes.copy()
-    x_tilde[m] = probes[mu[0]]
-    if abs(math.fsum(x_tilde) - math.fsum(probes)) < 1e-6:
-        return None
-    report = {
-        "argmax": [int(i) for i in mu],
-        "replaced_index": m,
-        "sum_gap": abs(math.fsum(x_tilde) - math.fsum(probes)),
-    }
-    return probes, x_tilde, report
-
-
 def max_decomp_counterexample(phi, M, probes=None):
     """Two multisets with bit-equal coordinate-wise max-pools but different sums.
 
     Replaces one element that never attains a coordinate max (it exists since
     phi has fewer coordinates than the multiset has elements) with the element
     attaining the first coordinate's max — the pools cannot move, the sum does.
+    The first set is probes (default linspace(-1, 1, M), whose sum moves by
+    at least their spacing); a sum moving by under 1e-6 is a ProbeDegenerate.
     """
     M = int(M)
     if phi.N >= M:
         raise SizeError(f"need encoder dimension below the set size, got N={phi.N}, M={M}")
-    if probes is not None:
-        probes = np.asarray(probes, dtype=float)
-        attempt = _max_counterexample_attempt(phi, probes)
-        if attempt is None:
-            raise ProbeDegenerate("supplied probe set collapses under the encoder")
-        return attempt
-    attempt = _max_counterexample_attempt(phi, np.linspace(-1.0, 1.0, M))
-    if attempt is not None:
-        return attempt
-    rng = np.random.default_rng(0)
-    min_gap = 1e-3
-    for trial in range(100):
-        if trial == 50:
-            min_gap = 1.0 / M  # widen the probe spacing if tight probes keep collapsing
-        draw = np.sort(rng.uniform(-1.0, 1.0, size=M))
-        if np.min(np.diff(draw)) < min_gap:
-            continue
-        attempt = _max_counterexample_attempt(phi, draw)
-        if attempt is not None:
-            return attempt
-    raise ProbeDegenerate("probe set collapses under the encoder after 100 resamples")
+    probes = np.linspace(-1.0, 1.0, M) if probes is None else as_set_input(probes)
+    if probes.size != M:
+        raise SizeError(f"need {M} probes, got {probes.size}")
+    mu = np.argmax(phi.eval(probes), axis=0)  # (N,) row of each coordinate's max
+    m = min(set(range(M)) - set(mu.tolist()))
+    x_tilde = probes.copy()
+    x_tilde[m] = probes[mu[0]]
+    gap = abs(math.fsum(x_tilde) - math.fsum(probes))
+    if gap < 1e-6:
+        raise ProbeDegenerate("probe set collapses under the encoder")
+    return probes, x_tilde, {"argmax": mu.tolist(), "replaced_index": m, "sum_gap": gap}

@@ -3,9 +3,9 @@
 Encoding a multiset {x_1..x_M} as (sum x_i^q)_{q=1..M} is injective on
 multisets of [-1, 1] and has a continuous inverse, so any continuous
 permutation-invariant target f factors exactly as rho(Phi(x)) with
-rho = f o Phi^{-1}. The numerical inverse here converts power sums to
-elementary symmetric polynomials with Newton's identities and recovers the
-multiset as the roots of the monic polynomial via Aberth-Ehrlich iteration.
+rho = f o Phi^{-1}. The numerical inverse here converts power sums to the
+coefficients of the monic polynomial with Newton's identities and recovers
+the multiset as its roots via Aberth-Ehrlich iteration.
 
 A variable-size codec extends this to sets with up to M_max elements by
 measuring each element against a filler value outside the data domain.
@@ -80,29 +80,21 @@ def _encode_sorted(U, degree=None):
     return out
 
 
-def power_sums_to_elementary(p):
-    """Newton's identities: k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.
+def power_sums_to_monic(p):
+    """Newton's identities on the coefficients c (highest degree first) of
+    prod (t - x_i): k*c_k = -sum_{i=1..k} c_{k-i} p_i with c_0 = 1.
 
-    p has shape (n, M); returns e of shape (n, M+1) with e[:, 0] = 1.
-    """
+    p has shape (n, M); returns c of shape (n, M+1)."""
     p = np.atleast_2d(np.asarray(p, dtype=float))
     n, m = p.shape
-    e = np.zeros((n, m + 1))
-    e[:, 0] = 1.0
+    c = np.zeros((n, m + 1))
+    c[:, 0] = 1.0
     for k in range(1, m + 1):
         acc = np.zeros(n)
         for i in range(1, k + 1):
-            term = e[:, k - i] * p[:, i - 1]
-            acc += term if i % 2 == 1 else -term
-        e[:, k] = acc / k
-    return e
-
-
-def elementary_to_monic(e):
-    """Coefficients (highest degree first) of prod (t - x_i) from e_0..e_M."""
-    e = np.atleast_2d(np.asarray(e, dtype=float))
-    signs = (-1.0) ** np.arange(e.shape[1])
-    return e * signs
+            acc -= c[:, k - i] * p[:, i - 1]
+        c[:, k] = acc / k
+    return c
 
 
 def aberth_roots(coeffs):
@@ -315,7 +307,7 @@ def _decode_batch_masked(P, m):
     # a row past the size bound has no decode; refusing it before root finding
     # also keeps latents whose polynomial overflows away from the root finder
     rows = np.flatnonzero(_within_size_bound(P, m))
-    coeffs = elementary_to_monic(power_sums_to_elementary(P[rows]))
+    coeffs = power_sums_to_monic(P[rows])
     roots = aberth_roots(coeffs)
 
     # fast path: vectorized feasibility + reproduction check

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError
 
 # Absolute tolerance for domain / simplex / face membership. Inputs violating
 # a constraint by no more than this are clamped; larger violations are errors.
@@ -47,13 +47,11 @@ def canonicalize(x):
     return np.sort(as_set_input(x))[::-1].copy()
 
 
-def as_simplex(z, n=None):
+def as_simplex(z):
     """Validate a point of the ordered simplex (descending, entries in [-1, 1])."""
     coords = np.asarray(z, dtype=float)
     if coords.ndim != 1 or coords.size == 0:
         raise DomainError(f"simplex point must be a non-empty 1-D vector, got shape {coords.shape}")
-    if n is not None and coords.size != n:
-        raise DomainError(f"expected a {n}-dimensional simplex point, got {coords.size}")
     return as_simplex_rows(coords[None, :])[0]
 
 
@@ -122,7 +120,7 @@ def face_residual_batch(V, face):
     return np.max(np.abs(np.concatenate(parts, axis=1)), axis=1)
 
 
-def build_face_pair(z, M=None):
+def build_face_pair(z):
     """Lift a point z of the N-simplex to the pair (x+, x-) on the opposing
     faces of the (N+1)-simplex: even-indexed coordinates of z fill the tied
     pairs of x+, odd-indexed ones fill those of x-, and the remaining
@@ -132,10 +130,7 @@ def build_face_pair(z, M=None):
     encodings under any elementwise sum map differ by exactly twice the
     alternating-sum map of z (the collision engine relies on this).
     """
-    z = as_simplex(z)
-    if M is not None and M != z.size + 1:
-        raise SizeError(f"face pair requires M = N+1; got N={z.size}, M={M}")
-    plus, minus = build_face_pair_batch(z[None, :])
+    plus, minus = build_face_pair_batch(as_simplex(z)[None, :])
     return FacePoint(plus[0], +1), FacePoint(minus[0], -1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setlab import DomainError, SearchExhausted, SizeError, UnsupportedDim
+from setlab import DomainError, SearchExhausted, SizeError
 from setlab.approx import (
     PhiSpec,
     emit_contour_grid,
@@ -194,8 +194,6 @@ def test_nu_examples():
 def test_nu_validates_domain():
     with pytest.raises(DomainError):
         nu(np.array([1.5, 0.0]))
-    with pytest.raises(DomainError):
-        nu(np.array([0.0, 0.0]), n=3)
 
 
 def test_nu_matches_face_recursion():
@@ -318,6 +316,15 @@ def test_find_collision_random_encoders(n):
             assert dumps(cert.to_config()) == dumps(small.to_config())
 
 
+def test_find_collision_stops_once_enumeration_certifies():
+    # the best enumerated point certifies (1.81e-12 <= tol_cert 1.97e-12) but
+    # lies above stop_tol, and sorted Newton cannot beat it (256 starts reach
+    # 0.23 at best), so the search ends after the enumeration
+    cert = find_collision(random_piecewise_linear(6, seed=25), tol_zero=1e-12)
+    assert [s["name"] for s in cert.search_trace["stages"]] == ["interval-enumeration"]
+    assert cert.phi_residual.hex() == "0x1.fca0000000000p-40"
+
+
 def test_find_collision_budget_exhaustion():
     # at tol 0 a search certifies only when the two pooled encodings cancel to
     # the last bit, and it ends early at any start that reaches stop_tol
@@ -414,8 +421,6 @@ def test_contour_grid_structure(tmp_path):
     assert path.read_text().splitlines()[1:] == expected
 
 
-def test_contour_grid_rejects_other_dims():
-    with pytest.raises(UnsupportedDim):
-        emit_contour_grid(_f_star_rows, M=3, resolution=5)
+def test_contour_grid_rejects_a_resolution_below_two():
     with pytest.raises(ConfigError):
         emit_contour_grid(_f_star_rows, resolution=1)

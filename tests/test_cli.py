@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import setlab
 from setlab import DeepSetsModel, Mlp, deepsets_eval
+from setlab._jsonio import dumps
 from setlab.approx import (
     load_certificate,
     random_mlp_encoder,
@@ -62,6 +63,77 @@ def _read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,y,value"
     return [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+
+
+def test_dumps_golden_bytes():
+    # NumPy arrays and scalars, nested tuples, empty containers, -0.0, a
+    # subnormal, non-string keys and non-ASCII text, indented and canonical
+    obj = {
+        "floats": np.array([[1.5, -0.0], [5e-324, 1 / 3]]),
+        "ints": np.arange(3, dtype=np.int64),
+        "flags": np.array([True, False]),
+        "scalars": [np.float64(0.1), np.float32(0.1), np.int32(-7), np.bool_(True), np.uint8(255)],
+        "nested": (1, (2.5, ()), [None, False], {}),
+        "empty": {"list": [], "array": np.zeros((0,))},
+        -0.0: -0.0,
+        3: 2.2250738585072014e-308 / 4,
+        "text": "naïve ✓ \"q\"",
+    }
+    indented = r'''{
+  "floats": [
+    [
+      1.5,
+      -0
+    ],
+    [
+      4.9406564584124654e-324,
+      0.33333333333333331
+    ]
+  ],
+  "ints": [
+    0,
+    1,
+    2
+  ],
+  "flags": [
+    true,
+    false
+  ],
+  "scalars": [
+    0.10000000000000001,
+    0.10000000149011612,
+    -7,
+    true,
+    255
+  ],
+  "nested": [
+    1,
+    [
+      2.5,
+      []
+    ],
+    [
+      null,
+      false
+    ],
+    {}
+  ],
+  "empty": {
+    "list": [],
+    "array": []
+  },
+  "-0.0": -0,
+  "3": 5.5626846462680035e-309,
+  "text": "na\u00efve \u2713 \"q\""
+}'''
+    assert dumps(obj) == indented
+    assert dumps(obj, indent=None, sort_keys=True) == (
+        '{"-0.0":-0,"3":5.5626846462680035e-309,"empty":{"array":[],"list":[]},"flags":[true,false],'
+        '"floats":[[1.5,-0],[4.9406564584124654e-324,0.33333333333333331]],"ints":[0,1,2],'
+        '"nested":[1,[2.5,[]],[null,false],{}],'
+        '"scalars":[0.10000000000000001,0.10000000149011612,-7,true,255],'
+        '"text":"na\\u00efve \\u2713 \\"q\\""}'
+    )
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -284,6 +356,12 @@ def test_train_invalid_config_exits_two(tmp_path):
     for override in ({"M": 0}, {"phi_hidden": [0]}, {"rho_hidden": [8, 0]}, {"seed": -1}):
         cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, **override})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2, override
+
+
+def test_train_config_of_the_wrong_json_type_exits_two_and_writes_nothing(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {**TINY_TRAIN, "phi_hidden": "32"})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "collide", "contours", "train"])

@@ -51,8 +51,9 @@ def test_mlp_rejects_bad_shapes():
         _linear_mlp(np.eye(2), np.zeros(2)).forward(np.zeros(3))
     with pytest.raises(ConfigError):
         Mlp([np.eye(2)], [np.zeros(3)], ["identity"])
-    with pytest.raises(ConfigError):
-        Mlp([np.eye(2)], [np.zeros(2)], ["softplus"])
+    for act in ("softplus", "relu"):
+        with pytest.raises(ConfigError):
+            Mlp([np.eye(2)], [np.zeros(2)], [act])
 
 
 def _params(net):
@@ -263,6 +264,11 @@ def test_train_config_validation():
         TrainConfig(task="f_star", M=3, N=2, seed=0, decay="exponential")
     cfg = TrainConfig(task="f_star", M=3, N=2, seed=7)
     assert TrainConfig.from_config(cfg.to_config()).content_hash() == cfg.content_hash()
+    # a JSON value of another type is refused, not converted: "32" would train
+    # widths (3, 2), 2.7 epochs 2 and true M = 1
+    for override in ({"phi_hidden": "32"}, {"epochs": 2.7}, {"M": True}):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_config({**cfg.to_config(), **override})
 
 
 def test_train_config_from_config_keeps_the_dataclass_defaults():

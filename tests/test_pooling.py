@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setlab import (
+    DomainError,
     PhiSpec,
     ProbeDegenerate,
     SizeError,
@@ -19,6 +20,7 @@ from setlab import (
     sampled_pool,
     sorted_eval,
 )
+from setlab.approx import random_mlp_encoder
 from setlab.pooling import _unrank_permutations
 
 
@@ -204,19 +206,34 @@ def test_max_counterexample_constant_encoder():
     assert abs(math.fsum(x) - math.fsum(x_tilde)) >= 1e-6
 
 
-@pytest.mark.parametrize("M", [3, 5])
+@pytest.mark.parametrize("M", range(2, 13))
 def test_max_counterexample_default_probes(M):
-    phi = PhiSpec("polynomial", 2, [[0.0, 1.0], [0.1, -0.3, 0.8]])
-    x, x_tilde, report = max_decomp_counterexample(phi, M)
-    np.testing.assert_array_equal(np.max(phi.eval(x), axis=0), np.max(phi.eval(x_tilde), axis=0))
-    assert report["sum_gap"] >= 1e-6
-    assert report["replaced_index"] not in report["argmax"]
+    # the default probes never raise, even for the widest encoder allowed
+    # (N = M - 1) or a constant one: some probe attains no coordinate max, and
+    # replacing it moves the sum by at least the probe spacing 2/(M-1)
+    encoders = [random_mlp_encoder(M - 1, seed=M), PhiSpec("polynomial", M - 1, [[0.7]] * (M - 1))]
+    if M > 2:
+        encoders.append(PhiSpec("polynomial", 2, [[0.0, 1.0], [0.1, -0.3, 0.8]]))
+    for phi in encoders:
+        x, x_tilde, report = max_decomp_counterexample(phi, M)
+        np.testing.assert_array_equal(np.max(phi.eval(x), axis=0), np.max(phi.eval(x_tilde), axis=0))
+        assert report["sum_gap"] >= 1e-6
+        assert report["replaced_index"] not in report["argmax"]
 
 
 def test_max_counterexample_rejects_wide_encoder():
     phi = PhiSpec("polynomial", 3, [[0.0, 1.0]] * 3)
     with pytest.raises(SizeError):
         max_decomp_counterexample(phi, 3)
+
+
+def test_max_counterexample_validates_supplied_probes():
+    phi = random_mlp_encoder(1, seed=0)
+    with pytest.raises(SizeError):
+        max_decomp_counterexample(phi, 5, probes=[0.0, 1.0])
+    for probes in ([7.0, -3.0], [0.0, math.nan]):
+        with pytest.raises(DomainError):
+            max_decomp_counterexample(phi, 2, probes=probes)
 
 
 def test_max_counterexample_degenerate_probes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setlab import DomainError, FacePoint, SizeError
+from setlab import DomainError, FacePoint
 from setlab.approx import lse_max_batch, nu_pair_batch
 from setlab.powersum import power_sum_encode_batch
 from setlab.sets import (
@@ -223,8 +223,3 @@ def test_build_face_pair_hits_faces_exactly(n):
         np.testing.assert_array_equal(q, pair[1].values)
         for got, want in zip((p, q), _face_pair_loop(z)):
             np.testing.assert_array_equal(got, want)
-
-
-def test_build_face_pair_requires_matching_size():
-    with pytest.raises(SizeError):
-        build_face_pair(np.array([0.0, 0.0]), M=4)
