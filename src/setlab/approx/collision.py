@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
-from ..errors import CertMismatch, DomainError, SearchExhausted, SizeError
+from ..errors import CertMismatch, ConfigError, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
 
 NEWTON_STARTS = 256  # default search budget: sorted-Newton starts per search
@@ -78,17 +78,20 @@ class CollisionCertificate:
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(
-            M=int(cfg["M"]),
-            N=int(cfg["N"]),
-            z_star=np.asarray(cfg["z_star"], dtype=float),
-            x_plus=np.asarray(cfg["x_plus"], dtype=float),
-            x_minus=np.asarray(cfg["x_minus"], dtype=float),
-            phi_residual=float(cfg["phi_residual"]),
-            f_gap=float(cfg["f_gap"]),
-            search_trace=dict(cfg["search_trace"]),
-            phi_hash=str(cfg["phi_hash"]),
-        )
+        try:
+            return cls(
+                M=int(cfg["M"]),
+                N=int(cfg["N"]),
+                z_star=np.asarray(cfg["z_star"], dtype=float),
+                x_plus=np.asarray(cfg["x_plus"], dtype=float),
+                x_minus=np.asarray(cfg["x_minus"], dtype=float),
+                phi_residual=float(cfg["phi_residual"]),
+                f_gap=float(cfg["f_gap"]),
+                search_trace=dict(cfg["search_trace"]),
+                phi_hash=str(cfg["phi_hash"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed collision certificate: {exc}") from None
 
 
 def save_certificate(cert, path, seed=None):

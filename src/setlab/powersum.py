@@ -156,48 +156,6 @@ def _horner_pair(coeffs, z):
     return pv, dpv
 
 
-def _linkage_groupings(roots):
-    """Single-linkage dendrogram of the roots, finest to coarsest.
-
-    Yields one label array per level — every clustering that merging roots
-    within some radius could produce, so no radius schedule can miss a level.
-    """
-    m = roots.size
-    labels = np.arange(m)
-    dist = np.abs(roots[:, None] - roots[None, :])
-    out = [labels.copy()]
-    for _ in range(m - 1):
-        gap = np.where(labels[:, None] != labels[None, :], dist, np.inf)
-        a, b = np.unravel_index(np.argmin(gap), gap.shape)
-        labels[labels == labels[b]] = labels[a]
-        out.append(labels.copy())
-    return out
-
-
-def _merge_groups(roots, labels, coeffs):
-    """Replace each cluster of roots by its polished center.
-
-    A cluster stemming from one multiple root splays like eps^(1/multiplicity),
-    but its mean is accurate to coefficient-perturbation order, and polishing
-    the mean on the (multiplicity-1)-th derivative (where the center is a
-    simple root) sharpens it to full precision.
-    """
-    merged = roots.copy()
-    for lab in np.unique(labels):
-        comp = np.flatnonzero(labels == lab)
-        if comp.size > 1:
-            mu = np.mean(roots[comp])
-            rest = np.delete(roots, comp)
-            # the polished center may travel further than the cluster spread
-            # (the mean inherits the coefficient-perturbation error), but it
-            # must stay closer to the cluster than to any foreign root
-            leash = 4.0 * np.max(np.abs(roots[comp] - mu))
-            if rest.size:
-                leash = max(leash, 0.5 * np.min(np.abs(rest - mu)))
-            merged[comp] = _polish_center(coeffs, mu, comp.size, leash)
-    return merged
-
-
 def _polish_center(coeffs, mu, mult, leash):
     """Newton-refine a cluster center on the (mult-1)-th derivative."""
     c = np.asarray(coeffs, dtype=complex)
@@ -214,18 +172,57 @@ def _polish_center(coeffs, mu, mult, leash):
     return z if abs(z - mu) <= leash else mu
 
 
-def _realize(roots):
-    """Project near-real roots to the axis and clamp to [-1, 1], or None."""
-    if np.max(np.abs(roots.imag)) > IMAG_TOL:
-        return None
-    real = roots.real
-    if np.max(np.abs(real)) > 1.0 + DOMAIN_SLACK:
-        return None
-    return np.sort(np.clip(real, -1.0, 1.0))[::-1].copy()
+def _structures(roots, coeffs):
+    """Candidate (distinct values, multiplicities) behind one row's roots, in
+    the order repair tries them.
 
+    A multiple root splays into a small complex ring, so first come the levels
+    of the roots' single-linkage dendrogram, finest first: every clustering
+    that merging roots within some radius could produce, so no radius schedule
+    can miss a level. Each cluster is replaced by its polished center: the
+    ring splays like eps^(1/multiplicity), but its mean is accurate to
+    coefficient-perturbation order, and polishing the mean on the
+    (multiplicity-1)-th derivative, where the center is a simple root,
+    sharpens it to full precision. A level whose merged roots leave the real
+    axis by more than IMAG_TOL or [-1, 1] by more than DOMAIN_SLACK yields
+    nothing.
 
-def _reproduces(u_sorted, p):
-    return np.max(np.abs(_encode_sorted(u_sorted[None, :])[0] - p)) <= REPRODUCE_TOL
+    Nearby multiple roots splay into overlapping rings no clustering can
+    separate, but the sorted real parts still split into blocks per true root,
+    with the widest gaps between blocks. So then come the M structures that
+    cut the sorted real parts at their j largest gaps, j = 0..M-1 (ties: lower
+    position first), each block at its mean; refusing an off-image row thus
+    costs at most 2M fits, not one per block composition.
+    """
+    m = roots.size
+    labels = np.arange(m)
+    dist = np.abs(roots[:, None] - roots[None, :])
+    for level in range(m):
+        if level:
+            gap = np.where(labels[:, None] != labels[None, :], dist, np.inf)
+            a, b = np.unravel_index(np.argmin(gap), gap.shape)
+            labels[labels == labels[b]] = labels[a]
+        merged = roots.copy()
+        for lab in np.unique(labels):
+            comp = np.flatnonzero(labels == lab)
+            if comp.size > 1:
+                mu = np.mean(roots[comp])
+                rest = np.delete(roots, comp)
+                # the polished center may travel further than the cluster
+                # spread (the mean inherits the coefficient-perturbation
+                # error), but it must stay closer to the cluster than to any
+                # foreign root
+                leash = 4.0 * np.max(np.abs(roots[comp] - mu))
+                if rest.size:
+                    leash = max(leash, 0.5 * np.min(np.abs(rest - mu)))
+                merged[comp] = _polish_center(coeffs, mu, comp.size, leash)
+        if not (np.max(np.abs(merged.imag)) > IMAG_TOL or np.max(np.abs(merged.real)) > 1.0 + DOMAIN_SLACK):
+            yield np.unique(np.clip(merged.real, -1.0, 1.0), return_counts=True)
+    r = np.sort(roots.real)
+    widest = np.argsort(-np.diff(r), kind="stable")
+    for j in range(m):
+        bounds = np.concatenate([[0], np.sort(widest[:j]) + 1, [m]])
+        yield [r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])], np.diff(bounds)
 
 
 def _within_size_bound(P, m, shift=0.0):
@@ -268,28 +265,11 @@ def _fit_multiset(v, counts, p):
 
 
 def _repair(roots, coeffs, p):
-    """The multiset behind one row whose plain roots miss p, or None."""
-    # multiple roots splay into small complex rings, so walk the clusterings
-    # of the dendrogram, polish each cluster center, refit the realized
-    # multiset against p, and accept the first that reproduces it
-    for labels in _linkage_groupings(roots):
-        u = _realize(_merge_groups(roots, labels, coeffs))
-        if u is not None:
-            u = _fit_multiset(*np.unique(u, return_counts=True), p)
-            if _reproduces(u, p):
-                return u
-    # nearby multiple roots splay into overlapping rings no clustering can
-    # separate, but the sorted real parts still split into blocks per true
-    # root, with the widest gaps between blocks; fit the structures cut at
-    # the j largest gaps, j = 0..M-1, directly against p, so that refusing an
-    # off-image row costs at most 2M fits, not one per block composition
-    r = np.sort(roots.real)
-    widest = np.argsort(-np.diff(r), kind="stable")  # ties: lower position first
-    for j in range(r.size):
-        bounds = np.concatenate([[0], np.sort(widest[:j]) + 1, [r.size]])
-        means = [r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])]
-        u = _fit_multiset(means, np.diff(bounds), p)
-        if _reproduces(u, p):
+    """The multiset behind one row whose plain roots miss p, or None: the
+    first candidate structure whose fit against p reproduces it."""
+    for v, counts in _structures(roots, coeffs):
+        u = _fit_multiset(v, counts, p)
+        if np.max(np.abs(_encode_sorted(u[None, :])[0] - p)) <= REPRODUCE_TOL:
             return u
     return None
 

@@ -1,31 +1,27 @@
 """Acceptance runs: the package's headline guarantees at full sample sizes.
 
 Every test prints one PASS/FAIL verdict line with the measured numbers
-(run with `pytest -s tests/test_acceptance.py` to see them all).
+(run with `pytest -s tests/test_acceptance.py` to see them all). Where a
+registry check of `setlab.verify` draws exactly the samples a test needs, the
+test runs that check at full scale on its own generator and holds it to the
+check's tolerance.
 """
 
 import math
-import statistics
 import time
 
 import numpy as np
 
 from setlab import (
-    Mlp,
     TrainConfig,
     VarSizeCodec,
-    enumerate_ktuples,
     error_lower_bound,
     f_star,
     find_collision,
     grid_error,
-    janossy_pool,
-    lse_max,
-    max_decomp_counterexample,
     pooled_encoding,
     power_sum_decode,
     power_sum_encode,
-    sampled_pool,
     train,
     varsize_decode,
     varsize_encode,
@@ -34,7 +30,6 @@ from setlab.approx import (
     gamma_batch,
     nu_batch,
     nu_pair_batch,
-    random_mlp_encoder,
     random_piecewise_linear,
     reference_encoders,
     shifted_linear,
@@ -42,11 +37,19 @@ from setlab.approx import (
 from setlab.cli import cmd_contours
 from setlab.errors import SearchExhausted
 from setlab.powersum import _encode_sorted, power_sum_decode_batch, varsize_decode_batch
+from setlab.verify import CHECKS
 
 
 def _verdict(name, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def _registry(name, rng):
+    """(residual, tolerance) of the registry check `name` at full scale, drawn
+    from rng."""
+    (check,) = [c for c in CHECKS if c.name == name]
+    return check.fn(rng, 1.0), check.tolerance
 
 
 def test_power_sum_round_trip_full_scale():
@@ -103,25 +106,15 @@ def test_variable_size_round_trip_full_scale():
 
 
 def test_smoothmax_bracket_and_saturation_full_scale():
+    # one generator through both checks: the bracket draws, then the
+    # saturation draws
     rng = np.random.default_rng(5)
-    violations = 0
-    for _ in range(100_000):
-        m = int(rng.integers(1, 9))
-        x = rng.uniform(-1, 1, m)
-        a = float(rng.uniform(0.5, 50.0))
-        v, mx = lse_max(x, a), float(np.max(x))
-        if v < mx - 1e-12 or v > mx + math.log(m) / a + 1e-12:
-            violations += 1
-    saturation = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 9))
-        t = float(rng.uniform(-1, 1))
-        a = float(rng.uniform(0.5, 50.0))
-        saturation = max(saturation, abs(lse_max(np.full(m, t), a) - (t + math.log(m) / a)))
+    bound, bound_tol = _registry("smoothmax-bound", rng)
+    saturation, saturation_tol = _registry("smoothmax-saturation", rng)
     _verdict(
         "smooth-max envelope",
-        violations == 0 and saturation == 0.0,
-        f"{violations} bracket violations in 10^5 draws at 1e-12 slack; "
+        bound <= bound_tol and saturation <= saturation_tol,
+        f"worst bracket excess {bound} over 10^5 draws (tol {bound_tol}); "
         f"equal-input saturation error {saturation} (exact zero required)",
     )
 
@@ -227,115 +220,41 @@ def test_bottleneck_pipeline_error_bound():
 
 
 def test_first_element_pooling_consistency():
-    rng = np.random.default_rng(3)
-
-    def first_only(v):
-        return math.tanh(v[0]) + 0.5 * v[0] ** 2
-
-    worst = 0.0
-    for k in (2, 3):
-        for m in range(3, 7):
-            for _ in range(1000):
-                x = rng.uniform(-1, 1, m)
-                worst = max(worst, abs(janossy_pool(x, k, first_only) - janossy_pool(x, 1, first_only)))
+    worst, tol = _registry("first-element-consistency", np.random.default_rng(3))
     _verdict(
         "first-element pooling consistency",
-        worst == 0.0,
+        worst <= tol,
         f"max |k-ary - unary| = {worst} over k in {{2,3}}, M in 3..6, 10^3 inputs each "
         "(exact equality required)",
     )
 
 
 def test_sampled_pooling_variance_law():
-    def order_sensitive(v):
-        return float(v @ (0.5 ** np.arange(v.size)))
-
-    rng = np.random.default_rng(42)
-    x = rng.uniform(-1, 1, 4)
-    outputs = [order_sensitive(x[list(t)]) for t in enumerate_ktuples(4, 4)]
-    sigma2 = statistics.pvariance(outputs)
-    trials = 10_000
-    worst_sigmas, full_var = 0.0, None
-    for p in (1, 2, 6, 12, 24):
-        vals = [sampled_pool(x, order_sensitive, p, seed=t) for t in range(trials)]
-        if p == 24:
-            full_var = statistics.pvariance(vals)
-            continue
-        theory = (24 - p) / 23 * sigma2 / p
-        emp = statistics.pvariance(vals)
-        m4 = statistics.fmean((np.array(vals) - statistics.fmean(vals)) ** 4)
-        se = math.sqrt(max(m4 - (trials - 3) / (trials - 1) * emp**2, 0.0) / trials)
-        worst_sigmas = max(worst_sigmas, abs(emp - theory) / se)
+    excess, tol = _registry("sampled-variance-law", np.random.default_rng(42))
     _verdict(
         "sampled-pooling variance law",
-        worst_sigmas <= 3.0 and full_var == 0.0,
-        f"max |empirical - theory| = {worst_sigmas:.2f} standard errors (<= 3) over "
-        f"p in {{1,2,6,12}}, 10^4 trials; variance at p=24 is {full_var} (exact zero)",
+        excess <= tol,
+        f"largest excess of |empirical - theory| over 3 standard errors for p in {{1,2,6,12}} "
+        f"and of the variance at p=24 over zero: {excess} (exact zero required), 10^4 trials",
     )
 
 
 def test_max_pool_counterexamples():
-    rng = np.random.default_rng(9)
-    pools_equal, min_sum_gap = True, np.inf
-    for _ in range(50):
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(1, m))
-        phi = random_mlp_encoder(n, seed=int(rng.integers(1 << 30)))
-        x, x_tilde, _ = max_decomp_counterexample(phi, m)
-        pools_equal = pools_equal and np.array_equal(
-            np.max(phi.eval(x), axis=0), np.max(phi.eval(x_tilde), axis=0)
-        )
-        min_sum_gap = min(min_sum_gap, abs(float(np.sum(x) - np.sum(x_tilde))))
+    worst, tol = _registry("max-pool-counterexample", np.random.default_rng(9))
     _verdict(
         "max-pool counterexamples",
-        pools_equal and min_sum_gap >= 1e-6,
-        f"50 random encoders with N < M <= 5: max-pooled encodings bit-equal, "
-        f"min |sum difference| {min_sum_gap:.3e} (>= 1e-06)",
+        worst <= tol,
+        f"50 random encoders with N < M <= 5: largest max-pool difference, and shortfall "
+        f"of |sum difference| below 1e-06, {worst} (exact zero required)",
     )
 
 
-def _flat_params(net):
-    return np.concatenate([w.ravel() for w in net.weights] + [b.ravel() for b in net.biases])
-
-
-def _with_params(net, flat):
-    weights, biases, k = [], [], 0
-    for w in net.weights:
-        weights.append(flat[k : k + w.size].reshape(w.shape))
-        k += w.size
-    for b in net.biases:
-        biases.append(flat[k : k + b.size].reshape(b.shape))
-        k += b.size
-    return Mlp(weights=weights, biases=biases, activations=list(net.activations))
-
-
 def test_gradient_oracle_against_finite_differences():
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(100):
-        net = Mlp.init(
-            [2, int(rng.integers(2, 9)), 1], ["tanh", "identity"], seed=int(rng.integers(1 << 30))
-        )
-        X = rng.uniform(-1, 1, size=(5, 2))
-        out, trace = net.forward_trace(X)
-        wg, bg, _ = net.backward(trace, 2.0 * out)
-        grad = np.concatenate([g.ravel() for g in wg] + [g.ravel() for g in bg])
-        flat = _flat_params(net)
-        fd = np.empty_like(flat)
-        h = 1e-6
-        for i in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += h
-            dn[i] -= h
-            fd[i] = (
-                float(np.sum(_with_params(net, up).forward(X) ** 2))
-                - float(np.sum(_with_params(net, dn).forward(X) ** 2))
-            ) / (2 * h)
-        worst = max(worst, float(np.linalg.norm(fd - grad) / np.linalg.norm(grad)))
+    worst, tol = _registry("gradient-oracle", np.random.default_rng(17))
     _verdict(
         "gradient oracle",
-        worst <= 1e-4,
-        f"max relative error {worst:.3e} (tol 1e-04) across 100 random tanh nets, "
+        worst <= tol,
+        f"max relative error {worst:.3e} (tol {tol:.0e}) across 100 random tanh nets, "
         "reverse mode vs central differences",
     )
 

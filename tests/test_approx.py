@@ -372,6 +372,15 @@ def test_certificate_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.z_star, cert.z_star)
 
 
+def test_load_certificate_rejects_malformed_files(tmp_path):
+    path = tmp_path / "cert.json"
+    full = find_collision(monomial_family(2), seed=1).to_config()
+    for bad in ({"schema": 1, "M": 3}, [1, 2], {**full, "N": "two"}, {**full, "search_trace": 5}):
+        path.write_text(dumps(bad))
+        with pytest.raises(ConfigError, match="malformed collision certificate"):
+            load_certificate(path)
+
+
 class _StubModel:
     def __init__(self, spec, value):
         self.encoder_spec = spec

@@ -155,6 +155,17 @@ def test_round_trip_repeated_values(x):
     np.testing.assert_allclose(got, u, atol=1e-6)
 
 
+@pytest.mark.parametrize("m", (4, 6, 8))
+def test_decode_every_five_level_multiset(m):
+    # repeated elements splay into rings of roots that miss the latent, so
+    # 16 of 70, 126 of 210 and 402 of 495 rows go through repair; no row may
+    # be refused, and every decode must re-encode to its latent
+    X = np.array(list(itertools.combinations_with_replacement(np.linspace(-1.0, 1.0, 5), m)))
+    P = power_sum_encode_batch(X)
+    U = power_sum_decode_batch(P, m)
+    assert np.max(np.abs(power_sum_encode_batch(U) - P)) <= powersum.REPRODUCE_TOL
+
+
 def test_decode_batch_matches_scalar():
     rng = np.random.default_rng(4)
     X = rng.uniform(-1.0, 1.0, size=(16, 4))

@@ -40,10 +40,11 @@ def test_report_rows_carry_full_record():
     report = run_suite("janossy", seed=7, scale=0.02)
     for row in report["checks"]:
         assert set(row) == {"name", "anchor", "status", "residual", "tolerance", "seed", "wall_time"}
-        assert row["status"] in ("pass", "fail", "skip")
+        assert row["status"] in ("pass", "fail")
         assert row["seed"] == 7
+    # every check returns a residual, so the summary's skip count stays 0
     counts = report["summary"]
-    assert counts["pass"] + counts["fail"] + counts["skip"] == counts["total"]
+    assert counts["skip"] == 0 and counts["pass"] + counts["fail"] == counts["total"]
 
 
 def test_same_seed_reports_identical_modulo_wall_time():
