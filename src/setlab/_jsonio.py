@@ -100,3 +100,8 @@ def config_hash(obj):
     """sha256 over the canonical (sorted-key, whitespace-free) serialization."""
     canonical = dumps(obj, indent=None, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def schema_free_hash(cfg):
+    """config_hash of a to_config() dict without its schema key."""
+    return config_hash({k: v for k, v in cfg.items() if k != "schema"})

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
+from .._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
 from ..errors import CertMismatch, ConfigError, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
 
@@ -78,8 +78,11 @@ class CollisionCertificate:
 
     @classmethod
     def from_config(cls, cfg):
+        """A stored certificate, refused (ConfigError) unless M = N + 1, z_star
+        is a point of the N-simplex, and x_plus, x_minus and f_gap are exactly
+        its face pair and their target gap."""
         try:
-            return cls(
+            cert = cls(
                 M=int(cfg["M"]),
                 N=int(cfg["N"]),
                 z_star=np.asarray(cfg["z_star"], dtype=float),
@@ -90,16 +93,26 @@ class CollisionCertificate:
                 search_trace=dict(cfg["search_trace"]),
                 phi_hash=str(cfg["phi_hash"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            plus, minus = build_face_pair(cert.z_star)
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise ConfigError(f"malformed collision certificate: {exc}") from None
+        if not (
+            cert.M == cert.N + 1
+            and cert.z_star.shape == (cert.N,)
+            and np.array_equal(cert.x_plus, plus.values)
+            and np.array_equal(cert.x_minus, minus.values)
+            and cert.f_gap == f_star(plus.values) - f_star(minus.values)
+        ):
+            raise ConfigError(
+                "inconsistent collision certificate: need M = N + 1 and x_plus, x_minus, "
+                "f_gap the face pair and target gap of a length-N simplex point z_star"
+            )
+        return cert
 
 
-def save_certificate(cert, path, seed=None):
+def save_certificate(cert, path, seed):
     cfg = cert.to_config()
-    if seed is not None:
-        cfg["seed"] = seed
-    cfg["config_hash"] = config_hash({k: v for k, v in cert.to_config().items() if k != "schema"})
-    dump_file(cfg, path)
+    dump_file({**cfg, "seed": seed, "config_hash": schema_free_hash(cfg)}, path)
 
 
 def load_certificate(path):
@@ -187,8 +200,6 @@ def _pwl_interval_zeros(phi, n):
     Z = (np.linalg.pinv(A) @ rhs[:, :, None])[:, :, 0]
     lob, upb = breaks[combos], breaks[combos + 1]
     inbox = np.all(Z >= lob - 1e-9, axis=1) & np.all(Z <= upb + 1e-9, axis=1)
-    if not inbox.any():
-        return []
     Zc = np.clip(Z[inbox], lob[inbox], upb[inbox])
     Zc = np.minimum.accumulate(np.clip(Zc, -1.0, 1.0), axis=1)
     R = np.max(np.abs(gamma_batch(Zc, phi)), axis=1)
@@ -223,7 +234,7 @@ def _bisect_1d(phi):
 
 def _staged_certificate(phi, pool, stages):
     """Certificate of the pool's lowest-residual point, earliest on ties."""
-    best_r, _, best_z = min(pool, key=lambda c: (c[0], c[1]))
+    best_r, best_z = min(pool, key=lambda c: c[0])
     starts = sum(s["starts"] for s in stages)
     trace = {"method": "staged", "starts": starts, "stages": stages, "best_residual": best_r}
     return _certificate(phi, best_z, trace)
@@ -268,15 +279,14 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
 
     stop_tol = max(1e-13 * (1.0 + scale), 0.25 * tol_cert)
     stages = []
-    pool = []  # (residual, order, z) across stages; earliest order wins ties
+    pool = []  # (residual, z) across stages; min keeps the earliest of ties
 
     # stage 0 (piecewise-linear only): enumerate knot-interval boxes and solve
     # the affine system on each — exact, so it cannot miss thin-slab zeros
     if phi.kind == "piecewise_linear":
         enum = _pwl_interval_zeros(phi, n)
         if enum is not None:
-            for r, z in enum:
-                pool.append((r, len(pool), z))
+            pool += enum
             stages.append({
                 "name": "interval-enumeration",
                 "starts": len(enum),
@@ -302,7 +312,7 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     for _ in range(budget):
         w, r = _damped_newton(field, rng.uniform(-1.0, 1.0, n), NEWTON_STEPS, stop_tol)
         newton.append(r)
-        pool.append((r, len(pool), -np.sort(-w)))
+        pool.append((r, -np.sort(-w)))
         if r <= stop_tol:
             break
     stages.append({"name": "sorted-newton", "starts": len(newton), "best_residual": min(newton)})

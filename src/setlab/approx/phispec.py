@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
+from .._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
 from ..errors import ConfigError
 from ..mlp import Mlp
 
@@ -85,9 +85,7 @@ class PhiSpec:
             raise ConfigError(f"malformed encoder spec: {exc}") from None
 
     def content_hash(self):
-        cfg = self.to_config()
-        cfg.pop("schema")
-        return config_hash(cfg)
+        return schema_free_hash(self.to_config())
 
 
 def save_phispec(spec, path):
@@ -130,9 +128,8 @@ def random_piecewise_linear(n, seed, n_knots=9, amplitude=1.0):
     return PhiSpec("piecewise_linear", n, knots)
 
 
-def random_mlp_encoder(n, seed, hidden=(16,)):
-    net = Mlp.init([1, *hidden, n], ["tanh"] * len(hidden) + ["identity"], seed)
-    return PhiSpec("mlp", n, net)
+def random_mlp_encoder(n, seed):
+    return PhiSpec("mlp", n, Mlp.init([1, 16, n], seed))
 
 
 def reference_encoders(n):

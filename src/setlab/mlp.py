@@ -48,17 +48,16 @@ class Mlp:
                 raise ConfigError(f"layer {i} input width {w.shape[1]} does not chain")
 
     @classmethod
-    def init(cls, layer_sizes, activations, seed):
-        """Seeded uniform(-r, r) init with r = 1/sqrt(fan_in) for each layer."""
-        if len(activations) != len(layer_sizes) - 1:
-            raise ConfigError("need one activation per layer transition")
+    def init(cls, layer_sizes, seed):
+        """Tanh hidden layers and an identity output layer, seeded uniform(-r, r)
+        with r = 1/sqrt(fan_in) for each layer."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             r = 1.0 / math.sqrt(fan_in)
             weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-r, r, size=fan_out))
-        return cls(weights, biases, list(activations))
+        return cls(weights, biases, ["tanh"] * (len(weights) - 1) + ["identity"])
 
     @property
     def layer_sizes(self):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ._jsonio import SCHEMA_VERSION, config_hash, dump_file, load_file
+from ._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
 from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
@@ -162,9 +162,7 @@ class TrainConfig:
             raise ConfigError(f"malformed train config: {exc}") from None
 
     def content_hash(self):
-        cfg = self.to_config()
-        cfg.pop("schema")
-        return config_hash(cfg)
+        return schema_free_hash(self.to_config())
 
 
 def _json_fits(kind, value):
@@ -211,16 +209,8 @@ def train(config):
     y = _target(config.task, X)
     n_rows = X.shape[0]
 
-    phi = Mlp.init(
-        [1, *config.phi_hidden, config.N],
-        ["tanh"] * len(config.phi_hidden) + ["identity"],
-        seed=config.seed,
-    )
-    rho = Mlp.init(
-        [config.N, *config.rho_hidden, 1],
-        ["tanh"] * len(config.rho_hidden) + ["identity"],
-        seed=config.seed + 1,
-    )
+    phi = Mlp.init([1, *config.phi_hidden, config.N], seed=config.seed)
+    rho = Mlp.init([config.N, *config.rho_hidden, 1], seed=config.seed + 1)
     model = DeepSetsModel(phi, config.N, rho)
 
     losses = []

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ProbeDegenerate, SizeError
 from .sets import as_set_input, canonicalize
 
-TUPLE_CAP = 10**7
 FACTORIAL_CAP = 8
 
 
@@ -26,8 +25,6 @@ def enumerate_ktuples(M, k):
     M, k = int(M), int(k)
     if not 1 <= k <= M <= 10:
         raise SizeError(f"need 1 <= k <= M <= 10, got k={k}, M={M}")
-    if math.perm(M, k) > TUPLE_CAP:
-        raise SizeError(f"P({M},{k}) = {math.perm(M, k)} exceeds the {TUPLE_CAP} tuple cap")
     flat = itertools.chain.from_iterable(itertools.permutations(range(M), k))
     return np.fromiter(flat, dtype=np.intp, count=math.perm(M, k) * k).reshape(-1, k)
 

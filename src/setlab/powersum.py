@@ -50,6 +50,17 @@ def _check_m(m):
         raise SizeError(f"set size {m} outside supported range 1..{M_CAP}")
 
 
+def _latent_rows(P, m):
+    """P as float rows of m power sums, checked for width, then m, then finiteness."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if P.shape[1] != m:
+        raise DomainError(f"latent vector must have {m} coordinates, got {P.shape[1]}")
+    _check_m(m)
+    if not np.all(np.isfinite(P)):
+        raise DomainError("latent vector contains non-finite entries")
+    return P
+
+
 def power_sum_encode(x):
     """Latent vector (sum_i x_i^q) for q = 1..M.
 
@@ -130,7 +141,6 @@ def aberth_roots(coeffs):
             w = np.where(pv == 0, 0.0, pv / np.where(dpv == 0, 1.0, dpv))
             denom = 1.0 - w * s
             corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
-        corr = np.where(pv == 0, 0.0, corr)
         z[active] = za - corr
         done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= ABERTH_TOL
         idx = np.flatnonzero(active)
@@ -276,12 +286,7 @@ def _repair(roots, coeffs, p):
 
 def _decode_batch_masked(P, m):
     """Decode rows of power sums; returns (multisets, ok_mask)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[1] != m:
-        raise DomainError(f"latent vector must have {m} coordinates, got {P.shape[1]}")
-    _check_m(m)
-    if not np.all(np.isfinite(P)):
-        raise DomainError("latent vector contains non-finite entries")
+    P = _latent_rows(P, m)
     out = np.zeros(P.shape)
     ok = np.zeros(P.shape[0], dtype=bool)
     # a row past the size bound has no decode; refusing it before root finding
@@ -403,11 +408,7 @@ def varsize_decode_batch(P, codec):
     smallest first, and accepted at the first size whose decode re-encodes to
     the row (injectivity across sizes makes the accepted size unique).
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[1] != codec.M_max:
-        raise DomainError(f"latent rows must have {codec.M_max} coordinates")
-    if not np.all(np.isfinite(P)):
-        raise DomainError("latent vector contains non-finite entries")
+    P = _latent_rows(P, codec.M_max)
     kp = codec.filler_powers()
     results = [None] * P.shape[0]
     unresolved = np.ones(P.shape[0], dtype=bool)

@@ -58,16 +58,22 @@ def _count(base, scale):
 # ---------------------------------------------------------------- set core
 
 
-def _chk_sort_invariance(rng, scale):
-    by_size = defaultdict(list)  # each set with its 8 permutations, drawn in turn
-    for _ in range(_count(300, scale)):
+def _permutation_residual(rng, count, n_perms, fn):
+    """Worst |fn(permuted x) - fn(x)| over count sets x of 1..8 uniform elements,
+    each drawn with its n_perms permutations; one fn call per set size."""
+    by_size = defaultdict(list)
+    for _ in range(count):
         x = rng.uniform(-1, 1, int(rng.integers(1, 9)))
-        by_size[x.size].append([x] + [rng.permutation(x) for _ in range(8)])
+        by_size[x.size].append([x] + [rng.permutation(x) for _ in range(n_perms)])
     worst = 0.0
     for m, blocks in by_size.items():
-        F = f_star_batch(np.reshape(blocks, (-1, m))).reshape(-1, 9)
+        F = fn(np.reshape(blocks, (-1, m))).reshape(len(blocks), n_perms + 1, -1)
         worst = max(worst, float(np.max(np.abs(F[:, 1:] - F[:, :1]))))
     return worst
+
+
+def _chk_sort_invariance(rng, scale):
+    return _permutation_residual(rng, _count(300, scale), 8, f_star_batch)
 
 
 def _chk_face_pair_gap(rng, scale):
@@ -123,15 +129,7 @@ def _chk_injectivity_separation(rng, scale):
 
 
 def _chk_encode_invariance(rng, scale):
-    by_size = defaultdict(list)
-    for _ in range(_count(10_000, scale)):
-        x = rng.uniform(-1, 1, int(rng.integers(1, 9)))
-        by_size[x.size].append([rng.permutation(x), x])
-    worst = 0.0
-    for m, pairs in by_size.items():
-        P = power_sum_encode_batch(np.reshape(pairs, (-1, m))).reshape(-1, 2, m)
-        worst = max(worst, float(np.max(np.abs(P[:, 0] - P[:, 1]))))
-    return worst
+    return _permutation_residual(rng, _count(10_000, scale), 1, power_sum_encode_batch)
 
 
 def _chk_varsize_round_trip(rng, scale):
@@ -372,8 +370,8 @@ def _chk_max_counterexample(rng, scale):
 def _random_model(rng):
     m = int(rng.integers(2, 7))
     n = int(rng.integers(1, 5))
-    phi = Mlp.init([1, 8, n], ["tanh", "identity"], seed=int(rng.integers(1 << 30)))
-    rho = Mlp.init([n, 8, 1], ["tanh", "identity"], seed=int(rng.integers(1 << 30)))
+    phi = Mlp.init([1, 8, n], seed=int(rng.integers(1 << 30)))
+    rho = Mlp.init([n, 8, 1], seed=int(rng.integers(1 << 30)))
     return DeepSetsModel(phi_net=phi, N=n, rho_net=rho), m
 
 
@@ -394,11 +392,7 @@ def _chk_model_invariance(rng, scale):
 def _chk_gradient_oracle(rng, scale):
     worst = 0.0
     for _ in range(_count(100, scale)):
-        net = Mlp.init(
-            [2, int(rng.integers(2, 9)), 1],
-            ["tanh", "identity"],
-            seed=int(rng.integers(1 << 30)),
-        )
+        net = Mlp.init([2, int(rng.integers(2, 9)), 1], seed=int(rng.integers(1 << 30)))
         X = rng.uniform(-1, 1, size=(5, 2))
 
         def loss():

@@ -32,6 +32,7 @@ from setlab.approx import (
 )
 from setlab._jsonio import dumps, format_float
 from setlab.errors import CertMismatch, ConfigError
+from setlab.mlp import Mlp
 from setlab.sets import f_star
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0)
@@ -104,6 +105,10 @@ def test_phispec_validation():
         PhiSpec("spline", 1, [])
     with pytest.raises(ConfigError):
         PhiSpec("polynomial", 2, [[1.0]])
+    with pytest.raises(ConfigError, match="output dimension"):
+        PhiSpec("polynomial", 0, [])
+    with pytest.raises(ConfigError, match="network must map"):
+        PhiSpec("mlp", 3, Mlp.init([1, 4, 2], seed=0))
     with pytest.raises(ConfigError):
         PhiSpec.from_config({**shifted_linear().to_config(), "N": "one"})
     # knots and coefficients that are not numbers of the right shape
@@ -378,6 +383,25 @@ def test_load_certificate_rejects_malformed_files(tmp_path):
     for bad in ({"schema": 1, "M": 3}, [1, 2], {**full, "N": "two"}, {**full, "search_trace": 5}):
         path.write_text(dumps(bad))
         with pytest.raises(ConfigError, match="malformed collision certificate"):
+            load_certificate(path)
+
+
+def test_load_certificate_rejects_inconsistent_files(tmp_path):
+    # every field parses, but the file does not describe its own collision
+    path = tmp_path / "cert.json"
+    full = find_collision(monomial_family(2), seed=1).to_config()
+    z = full["z_star"].tolist()
+    for edit in (
+        {"M": 7},
+        {"z_star": z[:1]},
+        {"z_star": [2.0, -1.0]},
+        {"x_plus": []},
+        {"x_minus": np.nextafter(full["x_minus"], 2.0)},
+        {"f_gap": -5.0},
+        {"M": 7, "z_star": z[:1], "x_plus": [], "f_gap": -5.0},
+    ):
+        path.write_text(dumps({**full, **edit}))
+        with pytest.raises(ConfigError, match="collision certificate"):
             load_certificate(path)
 
 

@@ -279,8 +279,8 @@ def test_contours_unknown_function_exits_two(tmp_path):
 def _wide_checkpoint(tmp_path):
     # layers 32 wide: there, a plain matrix product gives a row other bits
     # depending on the batch it sits in
-    phi = Mlp.init([1, 32, 32, 2], ["tanh", "tanh", "identity"], seed=2)
-    rho = Mlp.init([2, 32, 32, 1], ["tanh", "tanh", "identity"], seed=3)
+    phi = Mlp.init([1, 32, 32, 2], seed=2)
+    rho = Mlp.init([2, 32, 32, 1], seed=3)
     model = DeepSetsModel(phi, 2, rho)
     return model, _write_json(tmp_path / "checkpoint.json", model.to_config())
 
@@ -296,8 +296,8 @@ def test_checkpoint_contours_equal_single_set_evaluation(tmp_path):
 
 
 def test_checkpoint_contours_that_overflow_exit_two_and_write_nothing(tmp_path):
-    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
-    rho = Mlp.init([2, 4, 1], ["tanh", "identity"], seed=1)
+    phi = Mlp.init([1, 4, 2], seed=0)
+    rho = Mlp.init([2, 4, 1], seed=1)
     rho.weights[0][:], rho.biases[0][:] = 0.0, 5.0
     rho.weights[1][:], rho.biases[1][:] = 1.5e308, 1.5e308  # finite weights, infinite output
     ckpt = _write_json(tmp_path / "checkpoint.json", DeepSetsModel(phi, 2, rho).to_config())
@@ -404,8 +404,8 @@ def test_train_checkpoint_is_identical_across_blas_thread_counts(tmp_path):
 
 
 def _checkpoint_config():
-    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
-    rho = Mlp.init([2, 4, 1], ["tanh", "identity"], seed=1)
+    phi = Mlp.init([1, 4, 2], seed=0)
+    rho = Mlp.init([2, 4, 1], seed=1)
     return DeepSetsModel(phi, 2, rho).to_config()
 
 

@@ -54,6 +54,12 @@ def test_mlp_rejects_bad_shapes():
     for act in ("softplus", "relu"):
         with pytest.raises(ConfigError):
             Mlp([np.eye(2)], [np.zeros(2)], [act])
+    # weights, biases and activations that do not align, one per layer
+    for weights, biases, acts in (([], [], []), ([np.eye(2)], [np.zeros(2)], ["tanh", "identity"])):
+        with pytest.raises(ConfigError, match="align"):
+            Mlp(weights, biases, acts)
+    with pytest.raises(ConfigError, match="does not chain"):
+        Mlp([np.eye(2), np.ones((1, 3))], [np.zeros(2), np.zeros(1)], ["tanh", "identity"])
 
 
 def _params(net):
@@ -129,15 +135,15 @@ def test_constant_loss_zero_gradient():
 @pytest.mark.parametrize("seed", range(10))
 def test_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    net = Mlp.init([2, 5, 3, 1], ["tanh", "tanh", "identity"], seed=seed)
+    net = Mlp.init([2, 5, 3, 1], seed=seed)
     X = rng.uniform(-1.0, 1.0, size=(4, 2))
     y = rng.uniform(-1.0, 1.0, size=4)
     assert _fd_rel_error(net, X, y) <= 1e-4
 
 
 def _random_model(n, seed):
-    phi = Mlp.init([1, 8, n], ["tanh", "identity"], seed=seed)
-    rho = Mlp.init([n, 8, 1], ["tanh", "identity"], seed=seed + 1)
+    phi = Mlp.init([1, 8, n], seed=seed)
+    rho = Mlp.init([n, 8, 1], seed=seed + 1)
     return DeepSetsModel(phi, n, rho)
 
 
@@ -161,7 +167,9 @@ def test_pooled_forward_matches_single_set_evaluation():
 
 @pytest.mark.parametrize("n, fan_in, fan_out", [(768, 32, 32), (3, 1, 32), (500, 32, 1), (97, 32, 2)])
 def test_mlp_forward_is_row_invariant(n, fan_in, fan_out):
-    net = Mlp.init([fan_in, fan_out], ["tanh"], seed=n)
+    # Mlp.init's draws, under a tanh output layer
+    rng, r = np.random.default_rng(n), 1.0 / math.sqrt(fan_in)
+    net = Mlp([rng.uniform(-r, r, size=(fan_out, fan_in))], [rng.uniform(-r, r, size=fan_out)], ["tanh"])
     X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, fan_in))
     batch = net.forward(X)
     for i in range(n):
@@ -170,8 +178,8 @@ def test_mlp_forward_is_row_invariant(n, fan_in, fan_out):
 
 
 def test_batched_model_evaluation_matches_single_sets():
-    phi = Mlp.init([1, 32, 32, 2], ["tanh", "tanh", "identity"], seed=7)
-    rho = Mlp.init([2, 32, 32, 1], ["tanh", "tanh", "identity"], seed=8)
+    phi = Mlp.init([1, 32, 32, 2], seed=7)
+    rho = Mlp.init([2, 32, 32, 1], seed=8)
     model = DeepSetsModel(phi, 2, rho)
     X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, 3))  # rows not in canonical order
     values = deepsets_eval_batch(model, X)
@@ -204,7 +212,7 @@ def test_deepsets_identity_sums():
 
 
 def test_deepsets_zero_readout():
-    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
+    phi = Mlp.init([1, 4, 2], seed=0)
     rho = _linear_mlp(np.zeros((1, 2)), [0.0])
     model = DeepSetsModel(phi, 2, rho)
     for x in ([0.1], [0.4, -0.9, 0.3]):
@@ -225,10 +233,12 @@ def test_deepsets_permutation_invariance_bitexact(data):
 
 
 def test_model_dim_validation():
-    phi = Mlp.init([1, 4, 2], ["tanh", "identity"], seed=0)
-    rho = Mlp.init([3, 4, 1], ["tanh", "identity"], seed=1)
-    with pytest.raises(ConfigError):
+    phi = Mlp.init([1, 4, 2], seed=0)
+    rho = Mlp.init([3, 4, 1], seed=1)
+    with pytest.raises(ConfigError, match="readout net"):
         DeepSetsModel(phi, 2, rho)
+    with pytest.raises(ConfigError, match="encoder net"):
+        DeepSetsModel(Mlp.init([1, 4, 3], seed=0), 2, Mlp.init([2, 4, 1], seed=1))
     with pytest.raises(ConfigError):
         DeepSetsModel.from_config({**_random_model(2, seed=0).to_config(), "N": "two"})
 
@@ -262,6 +272,8 @@ def test_train_config_validation():
             TrainConfig(task="f_star", M=3, N=2, seed=0, **hidden)
     with pytest.raises(ConfigError):
         TrainConfig(task="f_star", M=3, N=2, seed=0, decay="exponential")
+    with pytest.raises(ConfigError, match="data spec"):
+        TrainConfig(task="f_star", M=3, N=2, seed=0, data="gaussian")
     cfg = TrainConfig(task="f_star", M=3, N=2, seed=7)
     assert TrainConfig.from_config(cfg.to_config()).content_hash() == cfg.content_hash()
     # a JSON value of another type is refused, not converted: "32" would train

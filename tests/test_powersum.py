@@ -88,6 +88,10 @@ def test_decode_rejects_infeasible():
         power_sum_decode([5.0, 1.0], 2)  # mean outside the domain
     with pytest.raises(InfeasibleLatent):
         power_sum_decode([1e300, 1e300, 1e300], 3)  # its polynomial overflows
+    # a batch names its first refused row
+    good = power_sum_encode([0.5, -0.25])
+    with pytest.raises(InfeasibleLatent, match=r"^row 1 "):
+        power_sum_decode_batch(np.array([good, [5.0, 1.0], good, [0.0, -10.0]]), 2)
 
 
 def test_decode_rejects_off_image_latent_in_polynomially_many_fits(monkeypatch):
@@ -295,6 +299,11 @@ def test_varsize_validation():
             varsize_decode(np.array([0.0, 0.0, bad]), codec)
         with pytest.raises(DomainError):
             varsize_decode_batch(np.array([varsize_encode([0.5], codec), [bad, 0.0, 0.0]]), codec)
+    with pytest.raises(DomainError):
+        varsize_decode_batch(np.zeros((2, 2)), codec)
+    good = varsize_encode([0.5], codec)
+    with pytest.raises(InfeasibleLatent, match=r"^row 1 "):
+        varsize_decode_batch(np.array([good, [5.0, -100.0, 3.0], good, [9.0, 9.0, 9.0]]), codec)
 
 
 def test_varsize_negative_filler():
