@@ -12,36 +12,18 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-ACTIVATIONS = ("tanh", "identity")
-
-
-def _activate(name, a):
-    if name == "tanh":
-        return np.tanh(a)
-    return a
-
-
-def _activation_slope(name, a, h):
-    if name == "tanh":
-        return 1.0 - h * h
-    return np.ones_like(a)
-
 
 @dataclass
 class Mlp:
-    """Fully connected layers; weights are (fan_out, fan_in), one activation
-    name per layer ("tanh" or "identity")."""
+    """Dense layers, weights (fan_out, fan_in): tanh after every layer but the last, which is affine."""
 
     weights: list = field(default_factory=list)
     biases: list = field(default_factory=list)
-    activations: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations) >= 1):
-            raise ConfigError("weights, biases, and activations must align, one per layer")
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            if act not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {act!r}")
+        if not (len(self.weights) == len(self.biases) >= 1):
+            raise ConfigError("weights and biases must align, one per layer")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ConfigError(f"layer {i} has inconsistent shapes {w.shape} / {b.shape}")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
@@ -49,45 +31,50 @@ class Mlp:
 
     @classmethod
     def init(cls, layer_sizes, seed):
-        """Tanh hidden layers and an identity output layer, seeded uniform(-r, r)
-        with r = 1/sqrt(fan_in) for each layer."""
+        """Each layer seeded uniform(-r, r) with r = 1/sqrt(fan_in)."""
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             r = 1.0 / math.sqrt(fan_in)
             weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-r, r, size=fan_out))
-        return cls(weights, biases, ["tanh"] * (len(weights) - 1) + ["identity"])
+        return cls(weights, biases)
 
     @property
     def layer_sizes(self):
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
+    @property
+    def activations(self):
+        """The per-layer activation names a network file records."""
+        return ["tanh"] * (len(self.weights) - 1) + ["identity"]
+
     def forward(self, x):
         """Evaluate on a single input (in_dim,) or a batch (n, in_dim).
         Row-invariant: a row's bits do not depend on the batch it sits in."""
         x = np.asarray(x, dtype=float)
-        out = self._layers(np.atleast_2d(x), stacked=True)[-1][2]
+        out = self._layers(np.atleast_2d(x), stacked=True)[-1][1]
         return out[0] if x.ndim == 1 else out
 
     def forward_trace(self, X):
         """The trainer's batch pass, on plain matrix products (a row's bits may
         depend on its batch), keeping what backward needs: (output, trace)."""
         trace = self._layers(X, stacked=False)
-        return trace[-1][2], trace
+        return trace[-1][1], trace
 
     def _layers(self, X, stacked):
-        """(input, pre-activation, output) per layer; stacked makes each row its own 1-row product."""
+        """(input, output) per layer; stacked makes each row its own 1-row product."""
         h = np.asarray(X, dtype=float)
         if h.ndim != 2 or h.shape[1] != self.weights[0].shape[1]:
             raise ShapeError(
                 f"expected inputs of width {self.weights[0].shape[1]}, got shape {h.shape}"
             )
         trace = []
-        for w, b, act in zip(self.weights, self.biases, self.activations):
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             a = (h[:, None, :] @ w.T)[:, 0, :] + b if stacked else h @ w.T + b
-            trace.append((h, a, _activate(act, a)))
-            h = trace[-1][2]
+            trace.append((h, a if i == last else np.tanh(a)))
+            h = trace[-1][1]
         return trace
 
     def backward(self, trace, grad_out):
@@ -98,9 +85,10 @@ class Mlp:
         g = np.asarray(grad_out, dtype=float)
         weight_grads = [None] * len(self.weights)
         bias_grads = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            h_in, a, h_out = trace[i]
-            ga = g * _activation_slope(self.activations[i], a, h_out)
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            h_in, h_out = trace[i]
+            ga = g if i == last else g * (1.0 - h_out * h_out)
             weight_grads[i] = ga.T @ h_in
             bias_grads[i] = ga.sum(axis=0)
             g = ga @ self.weights[i]
@@ -110,7 +98,7 @@ class Mlp:
         """JSON-ready dict; weight matrices are flattened row-major."""
         return {
             "layer_sizes": self.layer_sizes,
-            "activations": list(self.activations),
+            "activations": self.activations,
             "weights": [w.reshape(-1).tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -127,4 +115,7 @@ class Mlp:
             biases = [np.asarray(b, dtype=float) for b in cfg["biases"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed network config: {exc}") from None
-        return cls(weights, biases, acts)
+        net = cls(weights, biases)
+        if acts != net.activations:
+            raise ConfigError(f"network activations must be {net.activations}, got {acts}")
+        return net

@@ -3,13 +3,13 @@
 A model is rho(sum_i phi(x_i)) with both maps given by small dense networks.
 Evaluation canonicalizes the input and pools with compensated summation in
 sorted order, so the value is bit-identical under permutation. The trainer is
-plain seeded gradient descent (optional cosine decay) on canonicalized uniform
-samples — deterministic down to the parameter bits given the config.
+seeded gradient descent with a cosine-decayed step on canonicalized uniform
+samples plus a grid — deterministic to the parameter bits given the config.
 """
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .powersum import kahan_sum
 from .sets import as_set_input, as_set_rows, f_star_batch
 
 TASKS = ("f_star", "max")
-DECAYS = ("none", "cosine")
-DATA_SPECS = ("uniform", "uniform+grid")
 
 
 @dataclass
@@ -115,8 +113,9 @@ class TrainConfig:
     epochs: int = 2000
     batch: int = 256
     step: float = 0.05
-    decay: str = "cosine"
-    data: str = "uniform+grid"
+    # fixed, not settable: fields only so that every config file and hash records them
+    decay: str = field(default="cosine", init=False)
+    data: str = field(default="uniform+grid", init=False)
     n_samples: int = 2048
     phi_hidden: tuple = (32, 32)
     rho_hidden: tuple = (32, 32)
@@ -125,10 +124,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.decay not in DECAYS:
-            raise ConfigError(f"unknown decay {self.decay!r}; expected one of {DECAYS}")
-        if self.data not in DATA_SPECS:
-            raise ConfigError(f"unknown data spec {self.data!r}; expected one of {DATA_SPECS}")
         for name in ("M", "N", "epochs", "batch", "n_samples", "grid_resolution"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -149,10 +144,13 @@ class TrainConfig:
 
     @classmethod
     def from_config(cls, cfg):
-        # each field given in cfg must hold a JSON value of its annotated type
-        # and is converted by that type; the rest keep their defaults, and a
-        # missing required field is a TypeError
-        given = {f.name: f.type for f in fields(cls) if f.name in cfg}
+        # a fixed field may be given only at its value, any other only as a JSON
+        # value of its annotated type (converted by it); a missing required one
+        # is a TypeError, and the rest keep their defaults
+        for f in fields(cls):
+            if not f.init and f.name in cfg and cfg[f.name] != f.default:
+                raise ConfigError(f"train config field {f.name!r} is fixed at {f.default!r}")
+        given = {f.name: f.type for f in fields(cls) if f.init and f.name in cfg}
         wrong = [name for name, kind in given.items() if not _json_fits(kind, cfg[name])]
         if wrong:
             raise ConfigError(f"train config fields {wrong} hold JSON values of the wrong type")
@@ -195,17 +193,16 @@ def grid_error(model, task, M, resolution):
 def train(config):
     """Seeded full-precision gradient descent; returns (model, metrics).
 
-    Data is uniform over the cube, canonicalized before the loss so capacity
-    is not spent on permutation copies. Raises DivergenceError the moment the
-    loss stops being finite.
+    Data is uniform over the cube plus the canonical grid, canonicalized so
+    capacity is not spent on permutation copies; the step decays by a cosine.
+    Raises DivergenceError the moment the loss stops being finite.
     """
     rng = np.random.default_rng(config.seed)
     X = np.sort(rng.uniform(-1.0, 1.0, size=(config.n_samples, config.M)), axis=1)[:, ::-1]
-    if config.data == "uniform+grid":
-        # uniform canonical sampling under-covers near-equal coordinates, which
-        # is exactly where recovering order statistics from the pooled latent
-        # is worst-conditioned; a coarse canonical grid patches that
-        X = np.concatenate([X, canonical_grid(config.M, config.grid_resolution)])
+    # uniform canonical sampling under-covers near-equal coordinates, which is
+    # exactly where recovering order statistics from the pooled latent is
+    # worst-conditioned; a coarse canonical grid patches that
+    X = np.concatenate([X, canonical_grid(config.M, config.grid_resolution)])
     y = _target(config.task, X)
     n_rows = X.shape[0]
 
@@ -215,9 +212,7 @@ def train(config):
 
     losses = []
     for epoch in range(config.epochs):
-        lr = config.step
-        if config.decay == "cosine":
-            lr *= 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+        lr = config.step * (0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs)))
         order = rng.permutation(n_rows)
         epoch_loss = 0.0
         for lo in range(0, n_rows, config.batch):
@@ -253,14 +248,13 @@ def train(config):
     return model, metrics
 
 
-def save_checkpoint(model, config, path, metrics=None):
+def save_checkpoint(model, config, path, metrics):
     """JSON checkpoint: layer sizes, activations, row-major weights, config hash, seed."""
     payload = model.to_config()
     payload["config"] = config.to_config()
     payload["config_hash"] = config.content_hash()
     payload["seed"] = config.seed
-    if metrics is not None:
-        payload["metrics"] = {k: v for k, v in metrics.items() if k != "loss_curve"}
+    payload["metrics"] = {k: v for k, v in metrics.items() if k != "loss_curve"}
     dump_file(payload, path)
 
 

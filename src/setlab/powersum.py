@@ -51,10 +51,10 @@ def _check_m(m):
 
 
 def _latent_rows(P, m):
-    """P as float rows of m power sums, checked for width, then m, then finiteness."""
+    """P as float rows of m power sums, checked for rank and width, then m, then finiteness."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[1] != m:
-        raise DomainError(f"latent vector must have {m} coordinates, got {P.shape[1]}")
+    if P.ndim != 2 or P.shape[1] != m:
+        raise DomainError(f"latent must be rows of {m} power sums, got shape {P.shape}")
     _check_m(m)
     if not np.all(np.isfinite(P)):
         raise DomainError("latent vector contains non-finite entries")
@@ -319,9 +319,12 @@ def power_sum_decode(p, M):
     roots with |imag| > 1e-6, roots outside [-1, 1] by more than 1e-6, or a
     power-sum mismatch beyond 1e-6.
     """
-    out, ok = _decode_batch_masked(np.asarray(p, dtype=float)[None, :], M)
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise DomainError(f"latent must be one vector, got shape {p.shape}")
+    out, ok = _decode_batch_masked(p[None, :], M)
     if not ok[0]:
-        raise InfeasibleLatent(f"latent {np.asarray(p)} is not an encoding of a multiset in [-1,1]^{M}")
+        raise InfeasibleLatent(f"latent {p} is not an encoding of a multiset in [-1,1]^{M}")
     return out[0]
 
 

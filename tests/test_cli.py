@@ -338,9 +338,14 @@ def test_train_pipeline_artifacts_feed_contours_and_collide(tmp_path):
 
 def test_train_rerun_is_byte_identical(tmp_path):
     cfg = _write_json(tmp_path / "cfg.json", TINY_TRAIN)
-    for name in ("one", "two"):
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-    assert (tmp_path / "one/checkpoint.json").read_bytes() == (tmp_path / "two/checkpoint.json").read_bytes()
+    # the fixed step decay and training data, spelled out at their one value
+    spelled = {**TINY_TRAIN, "decay": "cosine", "data": "uniform+grid"}
+    spelled = _write_json(tmp_path / "spelled.json", spelled)
+    for name, path in (("one", cfg), ("two", cfg), ("spelled", spelled)):
+        assert main(["train", "--config", path, "--out", str(tmp_path / name)]) == 0
+    first = (tmp_path / "one/checkpoint.json").read_bytes()
+    for name in ("two", "spelled"):
+        assert (tmp_path / name / "checkpoint.json").read_bytes() == first
 
 
 def test_train_seed_flag_overrides_config(tmp_path):
@@ -431,6 +436,42 @@ def test_unreadable_json_input_exits_two(tmp_path, command, flaw):
     proc = _run_cli(argv(str(path), str(tmp_path / "out")))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _train_argv(f, out):
+    return ["train", "--config", f, "--out", out]
+
+
+def _tanh_output(cfg, net):
+    """cfg with its network's activations ending in tanh, where the fixed shape is affine."""
+    cfg[net]["activations"] = ["tanh"] * len(cfg[net]["activations"])
+    return cfg
+
+
+# files that record a model shape other than the fixed one: tanh after every
+# layer but the last, a cosine-decayed step, uniform samples plus the grid
+OFF_SHAPE_INPUTS = {
+    "checkpoint phi ending in tanh": (
+        lambda f, out: ["contours", f, "--resolution", "5", "--out", out],
+        lambda: _tanh_output(_checkpoint_config(), "phi"),
+    ),
+    "encoder ending in tanh": (
+        lambda f, out: ["collide", f, "--out", out],
+        lambda: _tanh_output(random_mlp_encoder(2, seed=0).to_config(), "params"),
+    ),
+    "decay none": (_train_argv, lambda: {**TINY_TRAIN, "decay": "none"}),
+    "data uniform": (_train_argv, lambda: {**TINY_TRAIN, "data": "uniform"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_SHAPE_INPUTS))
+def test_input_off_the_fixed_model_shape_exits_two_and_writes_nothing(tmp_path, case):
+    argv, make = OFF_SHAPE_INPUTS[case]
+    out = tmp_path / "out"
+    proc = _run_cli(argv(_write_json(tmp_path / "input.json", make()), str(out)))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 # fuzzed input files: numbers stay small, so that a fuzzed config that happens

@@ -26,7 +26,7 @@ from setlab.sets import f_star
 
 
 def _linear_mlp(w, b):
-    return Mlp([np.asarray(w, dtype=float)], [np.asarray(b, dtype=float)], ["identity"])
+    return Mlp([np.asarray(w, dtype=float)], [np.asarray(b, dtype=float)])
 
 
 def test_mlp_zero_weights_yield_bias():
@@ -42,7 +42,8 @@ def test_mlp_single_linear_layer():
 
 
 def test_mlp_tanh_odd_at_zero():
-    net = Mlp([np.eye(2)], [np.zeros(2)], ["tanh"])
+    # a tanh layer, then an identity layer that passes it through bit for bit
+    net = Mlp([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)])
     np.testing.assert_array_equal(net.forward(np.zeros(2)), np.zeros(2))
 
 
@@ -50,16 +51,20 @@ def test_mlp_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         _linear_mlp(np.eye(2), np.zeros(2)).forward(np.zeros(3))
     with pytest.raises(ConfigError):
-        Mlp([np.eye(2)], [np.zeros(3)], ["identity"])
-    for act in ("softplus", "relu"):
-        with pytest.raises(ConfigError):
-            Mlp([np.eye(2)], [np.zeros(2)], [act])
-    # weights, biases and activations that do not align, one per layer
-    for weights, biases, acts in (([], [], []), ([np.eye(2)], [np.zeros(2)], ["tanh", "identity"])):
+        Mlp([np.eye(2)], [np.zeros(3)])
+    # weights and biases that do not align, one per layer
+    for weights, biases in (([], []), ([np.eye(2)], [np.zeros(2), np.zeros(2)])):
         with pytest.raises(ConfigError, match="align"):
-            Mlp(weights, biases, acts)
+            Mlp(weights, biases)
     with pytest.raises(ConfigError, match="does not chain"):
-        Mlp([np.eye(2), np.ones((1, 3))], [np.zeros(2), np.zeros(1)], ["tanh", "identity"])
+        Mlp([np.eye(2), np.ones((1, 3))], [np.zeros(2), np.zeros(1)])
+    # a network file records its activations, and only the fixed list loads:
+    # tanh after every layer but the last, which is affine
+    cfg = Mlp.init([1, 4, 2], seed=0).to_config()
+    assert cfg["activations"] == ["tanh", "identity"]
+    for acts in (["softplus", "identity"], ["relu", "identity"], ["tanh", "tanh"], ["identity"], "tanh"):
+        with pytest.raises(ConfigError, match="activations"):
+            Mlp.from_config({**cfg, "activations": acts})
 
 
 def _params(net):
@@ -115,7 +120,7 @@ def _fd_rel_error(net, X, y, h=1e-5):
 
 
 def test_linear_model_gradient_closed_form():
-    net = Mlp([np.array([[0.4, -0.3]])], [np.array([0.2])], ["identity"])
+    net = Mlp([np.array([[0.4, -0.3]])], [np.array([0.2])])
     x = np.array([[0.5, -1.0]])
     y = np.array([0.9])
     pred = float(net.forward(x[0])[0])
@@ -126,7 +131,7 @@ def test_linear_model_gradient_closed_form():
 
 
 def test_constant_loss_zero_gradient():
-    net = Mlp([np.zeros((1, 2))], [np.array([0.3])], ["identity"])
+    net = Mlp([np.zeros((1, 2))], [np.array([0.3])])
     X = np.random.default_rng(0).uniform(-1, 1, (8, 2))
     grad = _analytic_grad(net, X, np.full(8, 0.3))
     np.testing.assert_array_equal(grad, np.zeros_like(grad))
@@ -167,9 +172,13 @@ def test_pooled_forward_matches_single_set_evaluation():
 
 @pytest.mark.parametrize("n, fan_in, fan_out", [(768, 32, 32), (3, 1, 32), (500, 32, 1), (97, 32, 2)])
 def test_mlp_forward_is_row_invariant(n, fan_in, fan_out):
-    # Mlp.init's draws, under a tanh output layer
+    # Mlp.init's draws under tanh, then an identity layer that passes the tanh
+    # output through bit for bit, so that NumPy's vectorized tanh stays under test
     rng, r = np.random.default_rng(n), 1.0 / math.sqrt(fan_in)
-    net = Mlp([rng.uniform(-r, r, size=(fan_out, fan_in))], [rng.uniform(-r, r, size=fan_out)], ["tanh"])
+    net = Mlp(
+        [rng.uniform(-r, r, size=(fan_out, fan_in)), np.eye(fan_out)],
+        [rng.uniform(-r, r, size=fan_out), np.zeros(fan_out)],
+    )
     X = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, fan_in))
     batch = net.forward(X)
     for i in range(n):
@@ -270,12 +279,13 @@ def test_train_config_validation():
     for hidden in ({"phi_hidden": (8, 0)}, {"rho_hidden": (-1,)}):
         with pytest.raises(ConfigError):
             TrainConfig(task="f_star", M=3, N=2, seed=0, **hidden)
-    with pytest.raises(ConfigError):
-        TrainConfig(task="f_star", M=3, N=2, seed=0, decay="exponential")
-    with pytest.raises(ConfigError, match="data spec"):
-        TrainConfig(task="f_star", M=3, N=2, seed=0, data="gaussian")
     cfg = TrainConfig(task="f_star", M=3, N=2, seed=7)
     assert TrainConfig.from_config(cfg.to_config()).content_hash() == cfg.content_hash()
+    # the step decay and the training data are fixed: a file may record them
+    # only at their one value
+    for fixed in ({"decay": "exponential"}, {"decay": "none"}, {"data": "gaussian"}, {"data": "uniform"}):
+        with pytest.raises(ConfigError, match="is fixed at"):
+            TrainConfig.from_config({**cfg.to_config(), **fixed})
     # a JSON value of another type is refused, not converted: "32" would train
     # widths (3, 2), 2.7 epochs 2 and true M = 1
     for override in ({"phi_hidden": "32"}, {"epochs": 2.7}, {"M": True}):

@@ -92,6 +92,12 @@ def test_decode_rejects_infeasible():
     good = power_sum_encode([0.5, -0.25])
     with pytest.raises(InfeasibleLatent, match=r"^row 1 "):
         power_sum_decode_batch(np.array([good, [5.0, 1.0], good, [0.0, -10.0]]), 2)
+    # a latent of the wrong rank is refused as one of the wrong width is
+    for p, M in ((0.5, 1), (np.zeros((3, 3)), 3), (np.zeros((1, 1)), 1)):
+        with pytest.raises(DomainError):
+            power_sum_decode(p, M)
+    with pytest.raises(DomainError):
+        power_sum_decode_batch(np.zeros((2, 3, 3)), 3)
 
 
 def test_decode_rejects_off_image_latent_in_polynomially_many_fits(monkeypatch):
@@ -299,8 +305,9 @@ def test_varsize_validation():
             varsize_decode(np.array([0.0, 0.0, bad]), codec)
         with pytest.raises(DomainError):
             varsize_decode_batch(np.array([varsize_encode([0.5], codec), [bad, 0.0, 0.0]]), codec)
-    with pytest.raises(DomainError):
-        varsize_decode_batch(np.zeros((2, 2)), codec)
+    for bad_shape in ((2, 2), (2, 3, 4)):
+        with pytest.raises(DomainError):
+            varsize_decode_batch(np.zeros(bad_shape), codec)
     good = varsize_encode([0.5], codec)
     with pytest.raises(InfeasibleLatent, match=r"^row 1 "):
         varsize_decode_batch(np.array([good, [5.0, -100.0, 3.0], good, [9.0, 9.0, 9.0]]), codec)
