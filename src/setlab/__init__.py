@@ -12,7 +12,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .sets import FacePoint, as_set_input, as_simplex, build_face_pair, canonicalize, f_star
+from .sets import as_set_input, as_simplex, build_face_pair, canonicalize, f_star
 from .powersum import (
     VarSizeCodec,
     exact_eval,

@@ -87,6 +87,14 @@ def _finite_float(literal):
     return value
 
 
+def json_fits(kind, value):
+    """Whether a JSON value is of a config field type: an integer for int
+    (never a bool), any number for float, a list of integers for tuple."""
+    if kind is tuple:
+        return isinstance(value, list) and all(json_fits(int, v) for v in value)
+    return isinstance(value, {int: int, float: (int, float), str: str}[kind]) and not isinstance(value, bool)
+
+
 def load_file(path):
     """Parse a JSON file; an unreadable, malformed or non-finite one is a ConfigError."""
     try:

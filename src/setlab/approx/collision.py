@@ -11,11 +11,11 @@ caps how well any rho(sum phi) model can track that target.
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
+from .._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_free_hash
 from ..errors import CertMismatch, ConfigError, DomainError, SearchExhausted, SizeError
 from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
 
@@ -61,51 +61,51 @@ def pooled_encoding(phi, x):
 
 @dataclass
 class CollisionCertificate:
-    """A certified pooling collision between the two opposing faces."""
+    """A certified pooling collision between the two opposing faces. M, N,
+    the face pair and the target gap are derived from z_star, not given."""
 
-    M: int
-    N: int
+    M: int = field(init=False)
+    N: int = field(init=False)
     z_star: np.ndarray
-    x_plus: np.ndarray
-    x_minus: np.ndarray
+    x_plus: np.ndarray = field(init=False)
+    x_minus: np.ndarray = field(init=False)
     phi_residual: float
-    f_gap: float
+    f_gap: float = field(init=False)
     search_trace: dict
     phi_hash: str
+
+    def __post_init__(self):
+        self.z_star = as_simplex(self.z_star)
+        self.N = self.z_star.size
+        self.M = self.N + 1
+        self.x_plus, self.x_minus = build_face_pair(self.z_star)
+        self.f_gap = f_star(self.x_plus) - f_star(self.x_minus)
 
     def to_config(self):
         return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     @classmethod
     def from_config(cls, cfg):
-        """A stored certificate, refused (ConfigError) unless M = N + 1, z_star
-        is a point of the N-simplex, and x_plus, x_minus and f_gap are exactly
-        its face pair and their target gap."""
+        """A stored certificate, refused (ConfigError) unless z_star is a point
+        of the simplex and M, N, x_plus, x_minus and f_gap are exactly what it
+        derives from z_star."""
         try:
+            if not (json_fits(int, cfg["M"]) and json_fits(int, cfg["N"])):
+                raise TypeError("M and N must be integers")
             cert = cls(
-                M=int(cfg["M"]),
-                N=int(cfg["N"]),
-                z_star=np.asarray(cfg["z_star"], dtype=float),
-                x_plus=np.asarray(cfg["x_plus"], dtype=float),
-                x_minus=np.asarray(cfg["x_minus"], dtype=float),
-                phi_residual=float(cfg["phi_residual"]),
-                f_gap=float(cfg["f_gap"]),
-                search_trace=dict(cfg["search_trace"]),
-                phi_hash=str(cfg["phi_hash"]),
+                np.asarray(cfg["z_star"], dtype=float),
+                float(cfg["phi_residual"]),
+                dict(cfg["search_trace"]),
+                str(cfg["phi_hash"]),
             )
-            plus, minus = build_face_pair(cert.z_star)
+            derived = [f.name for f in fields(cls) if not f.init]
+            stored = [np.asarray(cfg[name], dtype=float) for name in derived]
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise ConfigError(f"malformed collision certificate: {exc}") from None
-        if not (
-            cert.M == cert.N + 1
-            and cert.z_star.shape == (cert.N,)
-            and np.array_equal(cert.x_plus, plus.values)
-            and np.array_equal(cert.x_minus, minus.values)
-            and cert.f_gap == f_star(plus.values) - f_star(minus.values)
-        ):
+        if not all(np.array_equal(v, getattr(cert, name)) for name, v in zip(derived, stored)):
             raise ConfigError(
-                "inconsistent collision certificate: need M = N + 1 and x_plus, x_minus, "
-                "f_gap the face pair and target gap of a length-N simplex point z_star"
+                "inconsistent collision certificate: M, N, x_plus, x_minus and f_gap "
+                "must be those derived from z_star"
             )
         return cert
 
@@ -120,23 +120,9 @@ def load_certificate(path):
 
 
 def _certificate(phi, z_star, trace):
-    z_star = as_simplex(z_star)
     plus, minus = build_face_pair(z_star)
-    residual = float(
-        np.max(np.abs(pooled_encoding(phi, plus.values) - pooled_encoding(phi, minus.values)))
-    )
-    gap = f_star(plus.values) - f_star(minus.values)
-    return CollisionCertificate(
-        M=z_star.size + 1,
-        N=z_star.size,
-        z_star=z_star,
-        x_plus=plus.values,
-        x_minus=minus.values,
-        phi_residual=residual,
-        f_gap=gap,
-        search_trace=trace,
-        phi_hash=phi.content_hash(),
-    )
+    residual = float(np.max(np.abs(pooled_encoding(phi, plus) - pooled_encoding(phi, minus))))
+    return CollisionCertificate(z_star, residual, trace, phi.content_hash())
 
 
 def _damped_newton(field, x, steps, stop_tol=0.0):

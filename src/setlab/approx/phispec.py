@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
+from .._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_free_hash
 from ..errors import ConfigError
 from ..mlp import Mlp
 
@@ -80,7 +80,9 @@ class PhiSpec:
     @classmethod
     def from_config(cls, cfg):
         try:
-            return cls(cfg["kind"], int(cfg["N"]), cfg["params"])
+            if not json_fits(int, cfg["N"]):
+                raise TypeError(f"N must be an integer, got {cfg['N']!r}")
+            return cls(cfg["kind"], cfg["N"], cfg["params"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed encoder spec: {exc}") from None
 

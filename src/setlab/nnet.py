@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from ._jsonio import SCHEMA_VERSION, dump_file, load_file, schema_free_hash
+from ._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_free_hash
 from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
@@ -87,7 +87,9 @@ class DeepSetsModel:
     @classmethod
     def from_config(cls, cfg):
         try:
-            return cls(Mlp.from_config(cfg["phi"]), int(cfg["N"]), Mlp.from_config(cfg["rho"]))
+            if not json_fits(int, cfg["N"]):
+                raise TypeError(f"N must be an integer, got {cfg['N']!r}")
+            return cls(Mlp.from_config(cfg["phi"]), cfg["N"], Mlp.from_config(cfg["rho"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from None
 
@@ -151,7 +153,7 @@ class TrainConfig:
             if not f.init and f.name in cfg and cfg[f.name] != f.default:
                 raise ConfigError(f"train config field {f.name!r} is fixed at {f.default!r}")
         given = {f.name: f.type for f in fields(cls) if f.init and f.name in cfg}
-        wrong = [name for name, kind in given.items() if not _json_fits(kind, cfg[name])]
+        wrong = [name for name, kind in given.items() if not json_fits(kind, cfg[name])]
         if wrong:
             raise ConfigError(f"train config fields {wrong} hold JSON values of the wrong type")
         try:
@@ -161,14 +163,6 @@ class TrainConfig:
 
     def content_hash(self):
         return schema_free_hash(self.to_config())
-
-
-def _json_fits(kind, value):
-    """Whether a JSON value is of a TrainConfig field type: an integer for int
-    (never a bool), any number for float, a list of integers for tuple."""
-    if kind is tuple:
-        return isinstance(value, list) and all(_json_fits(int, v) for v in value)
-    return isinstance(value, {int: int, float: (int, float), str: str}[kind]) and not isinstance(value, bool)
 
 
 def _target(task, rows):

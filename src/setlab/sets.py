@@ -7,7 +7,6 @@ everywhere — the face constructions require them.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,34 +83,10 @@ def f_star_batch(X):
     return np.array([math.fsum(row + bias) for row in signed.tolist()])
 
 
-@dataclass(frozen=True)
-class FacePoint:
-    """A point on one of the two opposing faces of the ordered simplex.
-
-    face=+1: x_1 = 1 and even-numbered ties (x_2=x_3, x_4=x_5, ...; x_M=-1 for
-    even M). face=-1: odd-numbered ties (x_1=x_2, x_3=x_4, ...; x_M=-1 for odd
-    M). f* is +1 on the former and -1 on the latter.
-    """
-
-    values: np.ndarray
-    face: int
-
-    def __post_init__(self):
-        if self.face not in (+1, -1):
-            raise DomainError(f"face tag must be +1 or -1, got {self.face}")
-        object.__setattr__(self, "values", as_simplex(self.values))
-        err = face_residual(self.values, self.face)
-        if err > TOL:
-            raise DomainError(f"face {self.face:+d} equality pattern violated by {err}")
-
-
-def face_residual(values, face):
-    """Largest violation of the face equality pattern (0 for exact members)."""
-    return float(face_residual_batch(as_set_input(values)[None, :], face)[0])
-
-
 def face_residual_batch(V, face):
-    """face_residual on every row of V (n, M)."""
+    """Largest violation, on every row of V (n, M), of face +1's pattern (x_1 = 1,
+    ties x_2=x_3, x_4=x_5, ...) or of face -1's (ties x_1=x_2, x_3=x_4, ...); an
+    x_M left out of the ties must be -1. 0 for exact members of the face."""
     V = as_set_rows(V)
     m, first = V.shape[1], int(face == +1)  # ties start at x_2 on face +1, at x_1 on face -1
     parts = [V[:, first : m - 1 : 2] - V[:, first + 1 : m : 2], V[:, :first] - 1.0]
@@ -131,7 +106,7 @@ def build_face_pair(z):
     alternating-sum map of z (the collision engine relies on this).
     """
     plus, minus = build_face_pair_batch(as_simplex(z)[None, :])
-    return FacePoint(plus[0], +1), FacePoint(minus[0], -1)
+    return plus[0], minus[0]
 
 
 def build_face_pair_batch(Z):

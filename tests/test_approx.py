@@ -109,8 +109,10 @@ def test_phispec_validation():
         PhiSpec("polynomial", 0, [])
     with pytest.raises(ConfigError, match="network must map"):
         PhiSpec("mlp", 3, Mlp.init([1, 4, 2], seed=0))
-    with pytest.raises(ConfigError):
-        PhiSpec.from_config({**shifted_linear().to_config(), "N": "one"})
+    # N must be a JSON integer: int() would read 2.5 and "2" as 2, and true as 1
+    for n in ("one", 2.5, "2", True):
+        with pytest.raises(ConfigError, match="malformed encoder spec"):
+            PhiSpec.from_config({**shifted_linear().to_config(), "N": n})
     # knots and coefficients that are not numbers of the right shape
     for kind, params in [
         ("piecewise_linear", [[[-1.0], [1.0]]]),
@@ -375,12 +377,25 @@ def test_certificate_round_trip(tmp_path):
     assert loaded.phi_hash == cert.phi_hash
     assert loaded.phi_residual == cert.phi_residual
     np.testing.assert_array_equal(loaded.z_star, cert.z_star)
+    # the loaded certificate derives M, N, the face pair and the gap from
+    # z_star again, and writes the same bytes
+    again = tmp_path / "again.json"
+    save_certificate(loaded, again, seed=1)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_certificate_rejects_malformed_files(tmp_path):
     path = tmp_path / "cert.json"
     full = find_collision(monomial_family(2), seed=1).to_config()
-    for bad in ({"schema": 1, "M": 3}, [1, 2], {**full, "N": "two"}, {**full, "search_trace": 5}):
+    # a count must be a JSON integer: int() would read 3.5 as 3 and 2.7 as 2
+    for bad in (
+        {"schema": 1, "M": 3},
+        [1, 2],
+        {**full, "N": "two"},
+        {**full, "search_trace": 5},
+        {**full, "M": 3.5},
+        {**full, "N": 2.7},
+    ):
         path.write_text(dumps(bad))
         with pytest.raises(ConfigError, match="malformed collision certificate"):
             load_certificate(path)
@@ -393,6 +408,8 @@ def test_load_certificate_rejects_inconsistent_files(tmp_path):
     z = full["z_star"].tolist()
     for edit in (
         {"M": 7},
+        {"N": 3},
+        {"M": True},
         {"z_star": z[:1]},
         {"z_star": [2.0, -1.0]},
         {"x_plus": []},

@@ -464,14 +464,41 @@ OFF_SHAPE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(OFF_SHAPE_INPUTS))
-def test_input_off_the_fixed_model_shape_exits_two_and_writes_nothing(tmp_path, case):
-    argv, make = OFF_SHAPE_INPUTS[case]
+def _refused_with_exit_two(tmp_path, argv, make):
     out = tmp_path / "out"
     proc = _run_cli(argv(_write_json(tmp_path / "input.json", make()), str(out)))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(OFF_SHAPE_INPUTS))
+def test_input_off_the_fixed_model_shape_exits_two_and_writes_nothing(tmp_path, case):
+    _refused_with_exit_two(tmp_path, *OFF_SHAPE_INPUTS[case])
+
+
+def _collide_argv(f, out):
+    return ["collide", f, "--out", out]
+
+
+def _contours_argv(f, out):
+    return ["contours", f, "--resolution", "5", "--out", out]
+
+
+# files whose N is a JSON value other than an integer, which int() would read
+# as one: 2.5 as 2, "2" as 2, true as 1
+NON_INTEGER_COUNTS = {
+    "encoder N 2.5": (_collide_argv, lambda: {**random_mlp_encoder(2, seed=0).to_config(), "N": 2.5}),
+    "encoder N '2'": (_collide_argv, lambda: {**random_mlp_encoder(2, seed=0).to_config(), "N": "2"}),
+    "encoder N true": (_collide_argv, lambda: {**shifted_linear().to_config(), "N": True}),
+    "checkpoint N 2.5": (_contours_argv, lambda: {**_checkpoint_config(), "N": 2.5}),
+    "checkpoint N '2'": (_contours_argv, lambda: {**_checkpoint_config(), "N": "2"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_COUNTS))
+def test_non_integer_count_exits_two_and_writes_nothing(tmp_path, case):
+    _refused_with_exit_two(tmp_path, *NON_INTEGER_COUNTS[case])
 
 
 # fuzzed input files: numbers stay small, so that a fuzzed config that happens

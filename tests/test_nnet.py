@@ -248,8 +248,10 @@ def test_model_dim_validation():
         DeepSetsModel(phi, 2, rho)
     with pytest.raises(ConfigError, match="encoder net"):
         DeepSetsModel(Mlp.init([1, 4, 3], seed=0), 2, Mlp.init([2, 4, 1], seed=1))
-    with pytest.raises(ConfigError):
-        DeepSetsModel.from_config({**_random_model(2, seed=0).to_config(), "N": "two"})
+    # N must be a JSON integer: int() would read 2.5 and "2" as 2, and true as 1
+    for n in ("two", 2.5, "2", True):
+        with pytest.raises(ConfigError, match="malformed model config"):
+            DeepSetsModel.from_config({**_random_model(2, seed=0).to_config(), "N": n})
 
 
 def test_encoder_export_matches_direct_gamma():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setlab import DomainError, FacePoint
+from setlab import DomainError
 from setlab.approx import lse_max_batch, nu_pair_batch
 from setlab.powersum import power_sum_encode_batch
 from setlab.sets import (
@@ -16,7 +16,6 @@ from setlab.sets import (
     canonicalize,
     f_star,
     f_star_batch,
-    face_residual,
     face_residual_batch,
 )
 
@@ -137,36 +136,25 @@ def test_f_star_closed_form_for_pairs(x1, x2):
     assert f_star([x1, x2]) == pytest.approx(abs(x1 - x2) - 1.0, abs=1e-15)
 
 
-def test_face_point_validates_pattern():
-    FacePoint(np.array([1.0, 0.3, 0.3]), +1)
-    FacePoint(np.array([0.3, 0.3, -1.0]), -1)
-    with pytest.raises(DomainError):
-        FacePoint(np.array([1.0, 0.3, 0.2]), +1)
-    with pytest.raises(DomainError):
-        FacePoint(np.array([0.5, 0.4]), -1)
-    with pytest.raises(DomainError):
-        FacePoint(np.array([1.0, 0.3, 0.3]), 2)
-
-
 def test_build_face_pair_one_dimensional():
     plus, minus = build_face_pair(np.array([0.0]))
-    np.testing.assert_array_equal(plus.values, [1.0, -1.0])
-    np.testing.assert_array_equal(minus.values, [0.0, 0.0])
+    np.testing.assert_array_equal(plus, [1.0, -1.0])
+    np.testing.assert_array_equal(minus, [0.0, 0.0])
     _, minus = build_face_pair(np.array([1.0]))
-    np.testing.assert_array_equal(minus.values, [1.0, 1.0])
+    np.testing.assert_array_equal(minus, [1.0, 1.0])
 
 
 def test_build_face_pair_two_dimensional():
     plus, minus = build_face_pair(np.array([0.5, -0.5]))
-    np.testing.assert_array_equal(plus.values, [1.0, -0.5, -0.5])
-    np.testing.assert_array_equal(minus.values, [0.5, 0.5, -1.0])
-    assert f_star(plus.values) == 1.0
-    assert f_star(minus.values) == -1.0
+    np.testing.assert_array_equal(plus, [1.0, -0.5, -0.5])
+    np.testing.assert_array_equal(minus, [0.5, 0.5, -1.0])
+    assert f_star(plus) == 1.0
+    assert f_star(minus) == -1.0
     # (0.5, -0.5) annihilates the alternating-sum map of this phi, so the
     # lifted pair pools identically
     phi = lambda v: np.array([v + 1.0, (v + 1.0) ** 2])
     np.testing.assert_allclose(
-        sum(phi(v) for v in plus.values), sum(phi(v) for v in minus.values), atol=1e-15
+        sum(phi(v) for v in plus), sum(phi(v) for v in minus), atol=1e-15
     )
 
 
@@ -190,7 +178,7 @@ def test_build_face_pair_pooled_difference_oracle():
         plus, minus = build_face_pair(z)
         for phi in (lambda v: np.array([v + 1.0, (v + 1.0) ** 2]), np.tanh, lambda v: np.exp(0.3 * v)):
             np.testing.assert_allclose(
-                pooled(phi, plus.values) - pooled(phi, minus.values),
+                pooled(phi, plus) - pooled(phi, minus),
                 2.0 * _alternating_sum_map(phi, z),
                 atol=1e-12,
             )
@@ -202,12 +190,12 @@ def test_build_face_pair_hits_faces_exactly(n):
     for _ in range(300):
         z = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
         plus, minus = build_face_pair(z)
-        assert face_residual(plus.values, +1) == 0.0
-        assert face_residual(minus.values, -1) == 0.0
-        assert f_star(plus.values) == 1.0
-        assert f_star(minus.values) == -1.0
-    # the batch, on these rows and on rows off the faces, equals the single-set
-    # forms and the loop references bit for bit
+        assert face_residual_batch(plus[None, :], +1)[0] == 0.0
+        assert face_residual_batch(minus[None, :], -1)[0] == 0.0
+        assert f_star(plus) == 1.0
+        assert f_star(minus) == -1.0
+    # the batch, on these rows and on rows off the faces, equals its one-row
+    # calls, build_face_pair and the loop references bit for bit
     Z = np.sort(rng.uniform(-1.0, 1.0, size=(300, n)), axis=1)[:, ::-1]
     Z[::4, 0] = 1.0
     Z[1::4, -1] = -1.0
@@ -215,11 +203,11 @@ def test_build_face_pair_hits_faces_exactly(n):
     off = np.sort(rng.uniform(-1.0, 1.0, size=(300, n + 1)), axis=1)
     for V, face in ((plus, +1), (minus, -1), (minus, +1), (plus, -1), (off, +1), (off, -1)):
         got = _bits(face_residual_batch(V, face))
-        assert got == _bits(face_residual(v, face) for v in V)
+        assert got == _bits(face_residual_batch(v[None, :], face)[0] for v in V)
         assert got == _bits(_face_residual_loop(v, face) for v in V)
     for z, p, q in zip(Z, plus, minus):
         pair = build_face_pair(z)
-        np.testing.assert_array_equal(p, pair[0].values)
-        np.testing.assert_array_equal(q, pair[1].values)
+        np.testing.assert_array_equal(p, pair[0])
+        np.testing.assert_array_equal(q, pair[1])
         for got, want in zip((p, q), _face_pair_loop(z)):
             np.testing.assert_array_equal(got, want)
