@@ -89,10 +89,12 @@ def _finite_float(literal):
 
 def json_fits(kind, value):
     """Whether a JSON value is of a config field type: an integer for int
-    (never a bool), any number for float, a list of integers for tuple."""
-    if kind is tuple:
-        return isinstance(value, list) and all(json_fits(int, v) for v in value)
-    return isinstance(value, {int: int, float: (int, float), str: str}[kind]) and not isinstance(value, bool)
+    (never a bool), any number for float, a string for str, a list of
+    integers for tuple, a list of numbers for list, an object for dict."""
+    if kind in (tuple, list):
+        item = int if kind is tuple else float
+        return isinstance(value, list) and all(json_fits(item, v) for v in value)
+    return isinstance(value, {int: int, float: (int, float), str: str, dict: dict}[kind]) and not isinstance(value, bool)
 
 
 def load_file(path):

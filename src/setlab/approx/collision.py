@@ -86,17 +86,23 @@ class CollisionCertificate:
 
     @classmethod
     def from_config(cls, cfg):
-        """A stored certificate, refused (ConfigError) unless z_star is a point
-        of the simplex and M, N, x_plus, x_minus and f_gap are exactly what it
-        derives from z_star."""
+        """A stored certificate, refused (ConfigError) unless every field holds
+        a JSON value of its type (a list of numbers for an array), z_star is a
+        point of the simplex and M, N, x_plus, x_minus and f_gap are exactly
+        what it derives from z_star."""
         try:
-            if not (json_fits(int, cfg["M"]) and json_fits(int, cfg["N"])):
-                raise TypeError("M and N must be integers")
+            wrong = [
+                f.name
+                for f in fields(cls)
+                if not json_fits(list if f.type is np.ndarray else f.type, cfg[f.name])
+            ]
+            if wrong:
+                raise TypeError(f"fields {wrong} hold JSON values of the wrong type")
             cert = cls(
                 np.asarray(cfg["z_star"], dtype=float),
                 float(cfg["phi_residual"]),
                 dict(cfg["search_trace"]),
-                str(cfg["phi_hash"]),
+                cfg["phi_hash"],
             )
             derived = [f.name for f in fields(cls) if not f.init]
             stored = [np.asarray(cfg[name], dtype=float) for name in derived]

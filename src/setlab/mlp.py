@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import json_fits
 from .errors import ConfigError, ShapeError
 
 
@@ -106,8 +107,10 @@ class Mlp:
     @classmethod
     def from_config(cls, cfg):
         try:
-            sizes = list(cfg["layer_sizes"])
-            acts = list(cfg["activations"])
+            sizes, acts = cfg["layer_sizes"], list(cfg["activations"])
+            arrays = [*cfg["weights"], *cfg["biases"]]
+            if not (json_fits(tuple, sizes) and all(json_fits(list, v) for v in arrays)):
+                raise TypeError("layer sizes must be integers, weights and biases lists of numbers")
             weights = [
                 np.asarray(flat, dtype=float).reshape(fan_out, fan_in)
                 for flat, fan_in, fan_out in zip(cfg["weights"], sizes[:-1], sizes[1:])

@@ -9,7 +9,6 @@ max-pooling cannot tell apart even though their sums differ.
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,16 +38,44 @@ def _unrank_permutations(ranks, M):
     return out
 
 
+def _exact_mean(terms):
+    """The correctly rounded mean of a list of floats.
+
+    fsum repeated on its own remainders, s_k = fsum(terms - s_1 - ... -
+    s_{k-1}) until one reads 0, writes the exact sum as a few non-overlapping
+    parts (Shewchuk's expansions). One part is divided by IEEE rounding;
+    several are added as integers over their common power-of-two denominator,
+    and integer division rounds once, as a Fraction mean would. Where fsum's
+    partial sums overflow (e.g. [1e308, 1e308]) or a term is inf or NaN, every
+    term is added so instead: inf raises OverflowError and NaN ValueError.
+    """
+    parts = []
+    try:
+        while (s := math.fsum(terms + [-p for p in parts])) != 0.0:
+            if not math.isfinite(s):
+                raise OverflowError
+            parts.append(s)
+    except (OverflowError, ValueError):
+        parts = terms
+    else:
+        if len(parts) == 1:
+            return parts[0] / len(terms)
+    ratios = [p.as_integer_ratio() for p in parts]
+    den = max((d for _, d in ratios), default=1)
+    return sum(n * (den // d) for n, d in ratios) / (den * len(terms))
+
+
 def _pool(x, index, phi):
     """Mean of phi (scalar or vector valued) over the rows x[index[i]] of a
     (P, k) index array, one length-k vector per call.
 
-    Floats are dyadic rationals, so their Fraction sum is exact: algebraically
-    equal reductions (k-ary over a first-element-only map vs. unary, all M!
-    sampled orderings vs. the full average) round once to the same bits.
+    Each column's mean is its exact sum (an fsum expansion) rounded once, so
+    algebraically equal reductions (k-ary over a first-element-only map vs.
+    unary, all M! sampled orderings vs. the full average) round to the same
+    bits.
     """
-    rows = np.array([np.atleast_1d(np.asarray(phi(x[i]), dtype=float)) for i in index])
-    return np.array([float(sum(map(Fraction, col.tolist())) / len(index)) for col in rows.T])
+    values = np.array([phi(row) for row in x[index]], dtype=float).reshape(len(index), -1)
+    return np.array([_exact_mean(col) for col in values.T.tolist()])
 
 
 def janossy_pool(x, k, phi):

@@ -128,29 +128,30 @@ def aberth_roots(coeffs):
     angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m + 0.25
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
-    active = np.ones(n, dtype=bool)
-    for _ in range(ABERTH_MAX_ITER):
-        za = z[active]
-        pv, dpv = _horner_pair(coeffs[active], za)
-        # pairwise reciprocal differences; diagonal set to 1 and its
-        # contribution subtracted from each row sum
-        diff = za[:, :, None] - za[:, None, :]
-        np.einsum("kii->ki", diff)[...] = 1.0
-        s = np.sum(1.0 / diff, axis=2) - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # the unfinished rows, kept compact; a row is written back once it finishes
+    za, ca, idx = z, coeffs, np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ABERTH_MAX_ITER):
+            pv, dpv = _horner_pair(ca, za)
+            # pairwise reciprocal differences; diagonal set to 1 and its
+            # contribution subtracted from each row sum
+            diff = za[:, :, None] - za[:, None, :]
+            diff.reshape(len(za), m * m)[:, :: m + 1] = 1.0
+            s = np.sum(1.0 / diff, axis=2) - 1.0
             w = np.where(pv == 0, 0.0, pv / np.where(dpv == 0, 1.0, dpv))
             denom = 1.0 - w * s
             corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
-        z[active] = za - corr
-        done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= ABERTH_TOL
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-        if not active.any():
-            break
+            done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= ABERTH_TOL
+            za = za - corr
+            if done.any():
+                z[idx[done]] = za[done]
+                za, ca, idx = za[~done], ca[~done], idx[~done]
+            if not idx.size:
+                break
+        z[idx] = za
 
-    # single Newton polish
-    pv, dpv = _horner_pair(coeffs, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # single Newton polish
+        pv, dpv = _horner_pair(coeffs, z)
         step = np.where(np.abs(dpv) > 1e-300, pv / dpv, 0.0)
     z = z - np.where(np.isfinite(step), step, 0.0)
     return z

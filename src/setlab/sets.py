@@ -33,9 +33,9 @@ def as_set_rows(X):
     values = np.asarray(X, dtype=float)
     if values.ndim != 2 or values.shape[1] == 0:
         raise DomainError(f"set rows must be a 2-D array of non-empty rows, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("set input contains non-finite entries")
-    if np.any(np.abs(values) > 1.0 + TOL):
+    if not (np.abs(values) <= 1.0 + TOL).all():  # one test: NaN fails it too
+        if not np.isfinite(values).all():
+            raise DomainError("set input contains non-finite entries")
         worst = float(np.max(np.abs(values)))
         raise DomainError(f"set input entries must lie in [-1, 1]; |max| = {worst}")
     return np.clip(values, -1.0, 1.0)

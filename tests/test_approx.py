@@ -395,6 +395,16 @@ def test_load_certificate_rejects_malformed_files(tmp_path):
         {**full, "search_trace": 5},
         {**full, "M": 3.5},
         {**full, "N": 2.7},
+        # every other field must hold a JSON value of its own type, not one
+        # that float(), str() or np.asarray() would coerce
+        {**full, "phi_residual": True},
+        {**full, "phi_residual": "0"},
+        {**full, "f_gap": "2"},
+        {**full, "phi_hash": 5},
+        {**full, "z_star": [str(v) for v in full["z_star"]]},
+        {**full, "x_plus": [str(v) for v in full["x_plus"]]},
+        {**full, "x_minus": [[v] for v in full["x_minus"]]},
+        {**full, "search_trace": [["stage", "newton"]]},
     ):
         path.write_text(dumps(bad))
         with pytest.raises(ConfigError, match="malformed collision certificate"):

@@ -65,6 +65,19 @@ def test_mlp_rejects_bad_shapes():
     for acts in (["softplus", "identity"], ["relu", "identity"], ["tanh", "tanh"], ["identity"], "tanh"):
         with pytest.raises(ConfigError, match="activations"):
             Mlp.from_config({**cfg, "activations": acts})
+    # weights, biases and layer sizes must be JSON numbers, not strings or
+    # bools that np.asarray() would coerce
+    w0, b0 = cfg["weights"][0], cfg["biases"][0]
+    for edit in (
+        {"weights": [[str(v) for v in w0], *cfg["weights"][1:]]},
+        {"weights": [[True] * len(w0), *cfg["weights"][1:]]},
+        {"biases": [[str(v) for v in b0], *cfg["biases"][1:]]},
+        {"biases": [b0, "0.5"]},
+        {"layer_sizes": [1, 4.0, 2]},
+        {"layer_sizes": ["1", "4", "2"]},
+    ):
+        with pytest.raises(ConfigError, match="malformed network config"):
+            Mlp.from_config({**cfg, **edit})
 
 
 def _params(net):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from setlab import (
     sorted_eval,
 )
 from setlab.approx import random_mlp_encoder
-from setlab.pooling import _unrank_permutations
+from setlab.pooling import _exact_mean, _unrank_permutations
 
 
 def test_enumerate_ktuples_counts():
@@ -241,3 +242,64 @@ def test_max_counterexample_degenerate_probes():
     probes = np.array([0.3, 0.3 + 1e-9, 0.3 + 2e-9])
     with pytest.raises(ProbeDegenerate):
         max_decomp_counterexample(phi, 3, probes=probes)
+
+
+def _fraction_mean(terms):
+    return float(sum(map(Fraction, terms)) / len(terms))
+
+
+def test_exact_mean_matches_fraction_oracle():
+    # seeded blocks mixing magnitudes from subnormal to near overflow, where
+    # the fsum expansion needs several parts, and plain [-1, 1] values
+    rng = random.Random(22)
+    for _ in range(3000):
+        scale = rng.choice([1.0, 1e-300, 1e300, 2.0**-1070])
+        block = [
+            rng.uniform(-1.0, 1.0) * scale * 10.0 ** rng.randint(-8, 8)
+            if rng.random() < 0.8
+            else rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, 3.0])
+            for _ in range(rng.randint(1, 40))
+        ]
+        assert _exact_mean(block).hex() == _fraction_mean(block).hex(), block
+
+
+@pytest.mark.parametrize(
+    "terms,mean",
+    [
+        ([1e308, 1e308], 1e308),  # fsum's partial sums overflow; Fraction's do not
+        ([1e308, 1e308, -1e308], 1e308 / 3),
+        ([-0.0], 0.0),
+        ([-0.0, -0.0, 0.0], 0.0),
+        ([-5e-324, 0.0], -0.0),  # half the smallest subnormal rounds to a signed zero
+    ],
+)
+def test_exact_mean_edges(terms, mean):
+    assert _exact_mean(terms).hex() == mean.hex() == _fraction_mean(terms).hex()
+
+
+def test_pool_vector_valued_phi():
+    x = np.array([0.1, -0.7, 0.4])
+    phi = lambda t: np.array([t[0] * t[1], t[0] - t[1], 0.25])
+    got = janossy_pool(x, 2, phi)
+    assert got.shape == (3,)
+    tuples = list(itertools.permutations(x, 2))
+    for j in range(3):
+        assert got[j] == _fraction_mean([float(phi(np.array(t))[j]) for t in tuples])
+
+
+@pytest.mark.parametrize(
+    "out,error",
+    [
+        (math.inf, OverflowError),
+        (math.nan, ValueError),
+        ("not a number", ValueError),
+    ],
+)
+def test_pool_refuses_bad_phi_outputs(out, error):
+    with pytest.raises(error):
+        janossy_pool(np.array([0.2, 0.5]), 1, lambda t: out)
+
+
+def test_pool_refuses_ragged_phi_outputs():
+    with pytest.raises(ValueError):
+        janossy_pool(np.array([0.2, 0.5]), 1, lambda t: [t[0]] * (1 if t[0] < 0.3 else 2))

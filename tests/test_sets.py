@@ -10,6 +10,7 @@ from setlab.approx import lse_max_batch, nu_pair_batch
 from setlab.powersum import power_sum_encode_batch
 from setlab.sets import (
     as_set_input,
+    as_set_rows,
     as_simplex,
     build_face_pair,
     build_face_pair_batch,
@@ -36,6 +37,32 @@ def test_as_set_input_clamps_within_tolerance():
 def test_as_set_input_rejects(bad):
     with pytest.raises(DomainError):
         as_set_input(bad)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0.5, np.nan]], "set input contains non-finite entries"),
+        ([[0.5, -np.inf]], "set input contains non-finite entries"),
+        # a non-finite entry is named first, even beside an out-of-range one
+        ([[3.0, 0.5], [np.inf, 0.0]], "set input contains non-finite entries"),
+        ([[0.5, -0.25], [1.0 + 2e-12, 0.25]], f"set input entries must lie in [-1, 1]; |max| = {1.0 + 2e-12}"),
+        ([[0.5, -3.5]], "set input entries must lie in [-1, 1]; |max| = 3.5"),
+        ([0.5, 0.25], "set rows must be a 2-D array of non-empty rows, got shape (2,)"),
+        (np.empty((3, 0)), "set rows must be a 2-D array of non-empty rows, got shape (3, 0)"),
+    ],
+)
+def test_as_set_rows_messages(rows, message):
+    with pytest.raises(DomainError) as info:
+        as_set_rows(rows)
+    assert str(info.value) == message
+
+
+def test_as_set_rows_clamps_and_copies():
+    X = np.array([[1.0 + 1e-13, -0.5], [-1.0 - 1e-12, 1.0]])
+    out = as_set_rows(X)
+    assert out.tolist() == [[1.0, -0.5], [-1.0, 1.0]]
+    assert out is not X and X[0, 0] == 1.0 + 1e-13
 
 
 def test_as_simplex_requires_descending():
