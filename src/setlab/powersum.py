@@ -5,7 +5,12 @@ multisets of [-1, 1] and has a continuous inverse, so any continuous
 permutation-invariant target f factors exactly as rho(Phi(x)) with
 rho = f o Phi^{-1}. The numerical inverse here converts power sums to the
 coefficients of the monic polynomial with Newton's identities and recovers
-the multiset as its roots via Aberth-Ehrlich iteration.
+the multiset as its roots via Aberth-Ehrlich iteration. A row of the batch
+stops iterating once its corrections fall below ABERTH_TOL, or once they stop
+shrinking below sqrt(eps) while its roots are all farther apart than
+eps^(1/M): simple roots converge cubically, so such a correction is rounding
+noise. An m-fold root splays only to about eps^(1/m), so rows with clustered
+roots keep the whole ABERTH_MAX_ITER schedule that repair relies on.
 
 A variable-size codec extends this to sets with up to M_max elements by
 measuring each element against a filler value outside the data domain.
@@ -113,9 +118,15 @@ def aberth_roots(coeffs):
 
     coeffs: (n, M+1) with coeffs[:, 0] = 1. Returns complex roots (n, M).
     Iterates the Aberth-Ehrlich correction w_i / (1 - w_i * sum_{j!=i}
-    1/(z_i - z_j)) with w = P/P' until every correction falls below
-    ABERTH_TOL (relative to 1 + |z|) or ABERTH_MAX_ITER passes are spent,
-    then applies one Newton polish per root.
+    1/(z_i - z_j)) with w = P/P', row by row, then applies one Newton polish
+    per root. A row stops when its largest correction (relative to 1 + |z|)
+    falls to ABERTH_TOL, or when that correction is at most sqrt(eps), no
+    smaller than on the previous pass, and every pair of the row's roots is
+    more than eps^(1/M) apart: a simple root converges cubically, so a
+    correction that stalls there is rounding noise. A multiple root splays
+    only to about eps^(1/multiplicity), so a row with clustered roots runs
+    on to ABERTH_MAX_ITER passes, as the cluster repair expects. Each row's
+    result is independent of the rest of the batch.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     n, mp1 = coeffs.shape
@@ -128,8 +139,10 @@ def aberth_roots(coeffs):
     angles = 2.0 * np.pi * (np.arange(m) + 0.5) / m + 0.25
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
-    # the unfinished rows, kept compact; a row is written back once it finishes
-    za, ca, idx = z, coeffs, np.arange(n)
+    eps = np.finfo(float).eps
+    # the unfinished rows, kept compact, with each one's previous correction;
+    # a row is written back once it finishes
+    za, ca, idx, last = z, coeffs, np.arange(n), np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ABERTH_MAX_ITER):
             pv, dpv = _horner_pair(ca, za)
@@ -141,11 +154,19 @@ def aberth_roots(coeffs):
             w = np.where(pv == 0, 0.0, pv / np.where(dpv == 0, 1.0, dpv))
             denom = 1.0 - w * s
             corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
-            done = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1) <= ABERTH_TOL
-            za = za - corr
+            rel = np.max(np.abs(corr) / (1.0 + np.abs(za)), axis=1)
+            done = rel <= ABERTH_TOL
+            # a stalled row whose roots are all more than eps^(1/m) apart (the
+            # unit diagonal passes) is at its rounding floor; a cluster goes on
+            stall = np.flatnonzero((rel >= last) & (rel <= np.sqrt(eps)))
+            if stall.size:
+                sep = np.min(np.abs(diff[stall]).reshape(stall.size, m * m), axis=1)
+                done[stall] |= sep > eps ** (1.0 / m)
+            za, last = za - corr, rel
+            del pv, dpv, diff, s, w, denom, corr  # freed before the next pass allocates its own
             if done.any():
                 z[idx[done]] = za[done]
-                za, ca, idx = za[~done], ca[~done], idx[~done]
+                za, ca, idx, last = za[~done], ca[~done], idx[~done], last[~done]
             if not idx.size:
                 break
         z[idx] = za

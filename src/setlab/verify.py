@@ -32,7 +32,6 @@ from .powersum import (
     power_sum_decode_batch,
     power_sum_encode_batch,
     varsize_decode_batch,
-    varsize_encode,
 )
 from .approx import (
     find_collision,
@@ -136,13 +135,11 @@ def _chk_varsize_round_trip(rng, scale):
     codec = VarSizeCodec(M_max=6)
     worst = 0.0
     for size in range(0, 7):
-        rows = []
-        sets = []
-        for _ in range(_count(1000, scale)):
-            x = rng.uniform(-1, 1, size)
-            sets.append(canonicalize(x) if size else np.empty(0))
-            rows.append(varsize_encode(x, codec))
-        got = varsize_decode_batch(np.array(rows), codec)
+        sets = [rng.uniform(-1, 1, size) for _ in range(_count(1000, scale))]
+        sets = [canonicalize(x) for x in sets] if size else sets
+        # varsize_encode of each set, as one encode of the sorted rows
+        rows = _encode_sorted(np.array(sets), codec.M_max) - size * codec.filler_powers()
+        got = varsize_decode_batch(rows, codec)
         for u, want in zip(got, sets):
             if u.size != want.size:
                 return np.inf

@@ -75,6 +75,48 @@ def test_aberth_against_np_roots():
             np.testing.assert_allclose(got, want, atol=1e-8)
 
 
+def _separated_rows(rng, n, m, gap=0.02):
+    """n descending rows of m elements of [-1, 1], neighbours at least gap apart."""
+    lows = np.sort(rng.uniform(0.0, 2.0 - (m - 1) * gap, size=(n, m)), axis=1)
+    return (lows - 1.0 + gap * np.arange(m))[:, ::-1]
+
+
+def test_aberth_stops_separated_rows_at_their_rounding_floor(monkeypatch):
+    # at M = 8 some rows with simple, well-separated roots never get their
+    # corrections under ABERTH_TOL; they must stop once those stall, not run
+    # the whole ABERTH_MAX_ITER schedule
+    S = _separated_rows(np.random.default_rng(5), 500, 8)
+    calls = []
+    horner = powersum._horner_pair
+
+    def counting(coeffs, z):
+        calls.append(len(z))
+        return horner(coeffs, z)
+
+    monkeypatch.setattr(powersum, "_horner_pair", counting)
+    aberth_roots(power_sums_to_monic(power_sum_encode_batch(S)))
+    assert len(calls) - 1 < 50  # the last call is the Newton polish
+    np.testing.assert_allclose(power_sum_decode_batch(power_sum_encode_batch(S), 8), S, rtol=0, atol=1e-6)
+
+
+def test_aberth_rows_independent_of_their_batch():
+    # separated rows stop early and clustered ones keep the full schedule;
+    # neither the stall test nor the compaction may couple rows
+    rng = np.random.default_rng(6)
+    X = np.vstack(
+        [
+            _separated_rows(rng, 4, 6),
+            [0.3 + 4.5e-6, 0.3, -0.7, -0.2, 0.6, 0.9],
+            [0.12, 0.12, 0.12, 0.9, -0.4, -0.8],
+            [-0.5] * 6,
+        ]
+    )
+    coeffs = power_sums_to_monic(power_sum_encode_batch(X))
+    batch = aberth_roots(coeffs)
+    for i in range(len(X)):
+        assert batch[i].tobytes() == aberth_roots(coeffs[i : i + 1])[0].tobytes()
+
+
 def test_decode_examples():
     np.testing.assert_allclose(power_sum_decode([1.0, 1.0], 2), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(power_sum_decode([2.0, 2.0], 2), [1.0, 1.0], atol=1e-12)
