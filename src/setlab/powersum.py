@@ -12,6 +12,12 @@ eps^(1/M): simple roots converge cubically, so such a correction is rounding
 noise. An m-fold root splays only to about eps^(1/m), so rows with clustered
 roots keep the whole ABERTH_MAX_ITER schedule that repair relies on.
 
+Decode work is done once: a row decodes independently of its batch and the
+encoder sorts before it sums, so the orderings of one set share one latent,
+bit for bit, and a batch decodes each distinct latent once; repair polishes
+each root cluster once per row, since its center does not change from one
+dendrogram level to the next.
+
 A variable-size codec extends this to sets with up to M_max elements by
 measuring each element against a filler value outside the data domain.
 """
@@ -215,9 +221,12 @@ def _structures(roots, coeffs):
     ring splays like eps^(1/multiplicity), but its mean is accurate to
     coefficient-perturbation order, and polishing the mean on the
     (multiplicity-1)-th derivative, where the center is a simple root,
-    sharpens it to full precision. A level whose merged roots leave the real
-    axis by more than IMAG_TOL or [-1, 1] by more than DOMAIN_SLACK yields
-    nothing.
+    sharpens it to full precision. A cluster's center depends only on its
+    own roots, the roots outside it and the coefficients, so each cluster is
+    polished once per walk and its center reused at every later level that
+    keeps it; each level after the first forms one new cluster. A level whose
+    merged roots leave the real axis by more than IMAG_TOL or [-1, 1] by more
+    than DOMAIN_SLACK yields nothing.
 
     Nearby multiple roots splay into overlapping rings no clustering can
     separate, but the sorted real parts still split into blocks per true root,
@@ -229,6 +238,7 @@ def _structures(roots, coeffs):
     m = roots.size
     labels = np.arange(m)
     dist = np.abs(roots[:, None] - roots[None, :])
+    centers = {}  # polished center per cluster, keyed by its members
     for level in range(m):
         if level:
             gap = np.where(labels[:, None] != labels[None, :], dist, np.inf)
@@ -237,7 +247,10 @@ def _structures(roots, coeffs):
         merged = roots.copy()
         for lab in np.unique(labels):
             comp = np.flatnonzero(labels == lab)
-            if comp.size > 1:
+            if comp.size == 1:
+                continue
+            key = comp.tobytes()
+            if key not in centers:
                 mu = np.mean(roots[comp])
                 rest = np.delete(roots, comp)
                 # the polished center may travel further than the cluster
@@ -247,7 +260,8 @@ def _structures(roots, coeffs):
                 leash = 4.0 * np.max(np.abs(roots[comp] - mu))
                 if rest.size:
                     leash = max(leash, 0.5 * np.min(np.abs(rest - mu)))
-                merged[comp] = _polish_center(coeffs, mu, comp.size, leash)
+                centers[key] = _polish_center(coeffs, mu, comp.size, leash)
+            merged[comp] = centers[key]
         if not (np.max(np.abs(merged.imag)) > IMAG_TOL or np.max(np.abs(merged.real)) > 1.0 + DOMAIN_SLACK):
             yield np.unique(np.clip(merged.real, -1.0, 1.0), return_counts=True)
     r = np.sort(roots.real)
@@ -307,8 +321,17 @@ def _repair(roots, coeffs, p):
 
 
 def _decode_batch_masked(P, m):
-    """Decode rows of power sums; returns (multisets, ok_mask)."""
+    """Decode rows of power sums; returns (multisets, ok_mask).
+
+    Each row decodes independently of its batch, so bit-equal rows decode to
+    bit-equal results: only the distinct rows are decoded (compared as bytes,
+    which keep 0.0 and -0.0 apart) and their results are scattered back. The
+    encoder sorts before it sums, so every ordering of a set is one such row.
+    """
     P = _latent_rows(P, m)
+    keys = np.ascontiguousarray(P).view(np.dtype((np.void, 8 * m))).ravel()
+    keys, inverse = np.unique(keys, return_inverse=True)
+    P = keys.view(float).reshape(-1, m)
     out = np.zeros(P.shape)
     ok = np.zeros(P.shape[0], dtype=bool)
     # a row past the size bound has no decode; refusing it before root finding
@@ -330,7 +353,7 @@ def _decode_batch_masked(P, m):
         u = _repair(roots[j], coeffs[j], P[rows[j]])
         if u is not None:
             out[rows[j]], ok[rows[j]] = u, True
-    return out, ok
+    return out[inverse], ok[inverse]
 
 
 def power_sum_decode(p, M):

@@ -117,6 +117,77 @@ def test_aberth_rows_independent_of_their_batch():
         assert batch[i].tobytes() == aberth_roots(coeffs[i : i + 1])[0].tobytes()
 
 
+def test_equal_latents_are_decoded_once_and_alike(monkeypatch):
+    # the encoder sorts before it sums, so the orderings of a set share one
+    # latent; a batch root-finds each distinct latent once and gives every
+    # copy the bytes a one-row decode gives
+    rng = np.random.default_rng(11)
+    sets = [
+        *_separated_rows(rng, 3, 6),
+        [0.3 + 4.5e-6, 0.3, -0.7, -0.2, 0.6, 0.9],
+        [0.12] * 3 + [0.9, -0.4, -0.8],
+        [-0.5] * 6,
+    ]
+    X = np.array([rng.permutation(sets[i]) for i in rng.integers(0, len(sets), size=40)])
+    zero = power_sum_encode([0.75, 0.5, 0.25, -0.25, -0.5, -0.75])
+    assert zero[0] == 0.0 and not np.signbit(zero[0])
+    signed = zero.copy()
+    signed[0] = -0.0
+    P = np.vstack([power_sum_encode_batch(X), zero, signed, zero, signed])
+    distinct = len({p.tobytes() for p in P})
+    assert distinct == len(sets) + 2  # +0.0 and -0.0 are two latents
+    rows = []
+    roots = powersum.aberth_roots
+
+    def counting(coeffs):
+        rows.append(len(coeffs))
+        return roots(coeffs)
+
+    monkeypatch.setattr(powersum, "aberth_roots", counting)
+    U = power_sum_decode_batch(P, 6)
+    assert rows == [distinct]
+    for p, u in zip(P, U):
+        assert u.tobytes() == power_sum_decode(p, 6).tobytes()
+    assert power_sum_decode_batch(np.asfortranarray(P), 6).tobytes() == U.tobytes()
+
+    # the variable-size decoder goes through the same dedup at every size
+    codec = VarSizeCodec(M_max=6)
+    mixed = [s[:k] for s in sets for k in (3, 6)]
+    V = np.array([varsize_encode(rng.permutation(mixed[i]), codec) for i in rng.integers(0, len(mixed), size=40)])
+    rows.clear()
+    got = varsize_decode_batch(V, codec)
+    copies = rows.copy()
+    rows.clear()
+    varsize_decode_batch(np.unique(V, axis=0), codec)
+    assert copies == rows
+    for v, u in zip(V, got):
+        assert u.tobytes() == varsize_decode(v, codec).tobytes()
+
+    # a refused latent is named by its first copy
+    bad = P[:10].copy()
+    bad[[3, 7]] = [0.0, -1.0, 0.0, 0.0, 0.0, 0.0]  # a negative sum of squares
+    with pytest.raises(InfeasibleLatent, match=r"^row 3 "):
+        power_sum_decode_batch(bad, 6)
+
+
+def test_structures_polish_each_cluster_once(monkeypatch):
+    # each dendrogram level after the first merges two clusters into one new
+    # cluster; every other cluster keeps its polished center from the level
+    # before, so a whole walk polishes M - 1 centers
+    calls = []
+    polish = powersum._polish_center
+
+    def counting(coeffs, mu, mult, leash):
+        calls.append(mult)
+        return polish(coeffs, mu, mult, leash)
+
+    monkeypatch.setattr(powersum, "_polish_center", counting)
+    coeffs = power_sums_to_monic(power_sum_encode([0.5] * 4 + [-0.5] * 4))
+    candidates = list(powersum._structures(aberth_roots(coeffs)[0], coeffs[0]))
+    assert len(candidates) > 8  # dendrogram levels, then the 8 gap cuts
+    assert len(calls) == 8 - 1
+
+
 def test_decode_examples():
     np.testing.assert_allclose(power_sum_decode([1.0, 1.0], 2), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(power_sum_decode([2.0, 2.0], 2), [1.0, 1.0], atol=1e-12)
