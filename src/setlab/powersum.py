@@ -14,9 +14,12 @@ roots keep the whole ABERTH_MAX_ITER schedule that repair relies on.
 
 Decode work is done once: a row decodes independently of its batch and the
 encoder sorts before it sums, so the orderings of one set share one latent,
-bit for bit, and a batch decodes each distinct latent once; repair polishes
-each root cluster once per row, since its center does not change from one
-dendrogram level to the next.
+bit for bit, and a batch decodes each distinct latent once. The rows whose
+plain roots miss their latent are repaired in one lockstep walk over their
+candidate structures, the levels of each row's root dendrogram and then its
+gap cuts, polishing each new root cluster once; a row leaves the walk at its
+first candidate that reproduces its latent, as it would alone. Only the
+cluster means and the Gauss-Newton fits run row by row.
 
 A variable-size codec extends this to sets with up to M_max elements by
 measuring each element against a filler value outside the data domain.
@@ -194,81 +197,20 @@ def _horner_pair(coeffs, z):
     return pv, dpv
 
 
-def _polish_center(coeffs, mu, mult, leash):
-    """Newton-refine a cluster center on the (mult-1)-th derivative."""
+def _polish_centers(coeffs, mu, mult, leash):
+    """Newton-refine cluster centers mu of one multiplicity, one per row of
+    coeffs, on the (mult-1)-th derivative; a row stops once its derivative
+    vanishes, and a center that leaves its leash falls back to mu."""
     c = np.asarray(coeffs, dtype=complex)
     for _ in range(mult - 1):
-        deg = c.size - 1
-        c = c[:-1] * np.arange(deg, 0, -1)
-    z = complex(mu)
+        c = c[:, :-1] * np.arange(c.shape[1] - 1, 0, -1)
+    z, live = mu.copy(), np.arange(mu.size)
     for _ in range(3):
-        pv, dpv = _horner_pair(c[None, :], np.array([[z]]))
-        pv, dpv = pv[0, 0], dpv[0, 0]
-        if abs(dpv) < 1e-300:
-            break
-        z = z - pv / dpv
-    return z if abs(z - mu) <= leash else mu
-
-
-def _structures(roots, coeffs):
-    """Candidate (distinct values, multiplicities) behind one row's roots, in
-    the order repair tries them.
-
-    A multiple root splays into a small complex ring, so first come the levels
-    of the roots' single-linkage dendrogram, finest first: every clustering
-    that merging roots within some radius could produce, so no radius schedule
-    can miss a level. Each cluster is replaced by its polished center: the
-    ring splays like eps^(1/multiplicity), but its mean is accurate to
-    coefficient-perturbation order, and polishing the mean on the
-    (multiplicity-1)-th derivative, where the center is a simple root,
-    sharpens it to full precision. A cluster's center depends only on its
-    own roots, the roots outside it and the coefficients, so each cluster is
-    polished once per walk and its center reused at every later level that
-    keeps it; each level after the first forms one new cluster. A level whose
-    merged roots leave the real axis by more than IMAG_TOL or [-1, 1] by more
-    than DOMAIN_SLACK yields nothing.
-
-    Nearby multiple roots splay into overlapping rings no clustering can
-    separate, but the sorted real parts still split into blocks per true root,
-    with the widest gaps between blocks. So then come the M structures that
-    cut the sorted real parts at their j largest gaps, j = 0..M-1 (ties: lower
-    position first), each block at its mean; refusing an off-image row thus
-    costs at most 2M fits, not one per block composition.
-    """
-    m = roots.size
-    labels = np.arange(m)
-    dist = np.abs(roots[:, None] - roots[None, :])
-    centers = {}  # polished center per cluster, keyed by its members
-    for level in range(m):
-        if level:
-            gap = np.where(labels[:, None] != labels[None, :], dist, np.inf)
-            a, b = np.unravel_index(np.argmin(gap), gap.shape)
-            labels[labels == labels[b]] = labels[a]
-        merged = roots.copy()
-        for lab in np.unique(labels):
-            comp = np.flatnonzero(labels == lab)
-            if comp.size == 1:
-                continue
-            key = comp.tobytes()
-            if key not in centers:
-                mu = np.mean(roots[comp])
-                rest = np.delete(roots, comp)
-                # the polished center may travel further than the cluster
-                # spread (the mean inherits the coefficient-perturbation
-                # error), but it must stay closer to the cluster than to any
-                # foreign root
-                leash = 4.0 * np.max(np.abs(roots[comp] - mu))
-                if rest.size:
-                    leash = max(leash, 0.5 * np.min(np.abs(rest - mu)))
-                centers[key] = _polish_center(coeffs, mu, comp.size, leash)
-            merged[comp] = centers[key]
-        if not (np.max(np.abs(merged.imag)) > IMAG_TOL or np.max(np.abs(merged.real)) > 1.0 + DOMAIN_SLACK):
-            yield np.unique(np.clip(merged.real, -1.0, 1.0), return_counts=True)
-    r = np.sort(roots.real)
-    widest = np.argsort(-np.diff(r), kind="stable")
-    for j in range(m):
-        bounds = np.concatenate([[0], np.sort(widest[:j]) + 1, [m]])
-        yield [r[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])], np.diff(bounds)
+        pv, dpv = (a[:, 0] for a in _horner_pair(c[live], z[live, None]))
+        go = ~(np.abs(dpv) < 1e-300)
+        live = live[go]
+        z[live] -= pv[go] / dpv[go]
+    return np.where(np.abs(z - mu) <= leash, z, mu)
 
 
 def _within_size_bound(P, m, shift=0.0):
@@ -310,14 +252,84 @@ def _fit_multiset(v, counts, p):
     return np.sort(np.repeat(best, counts))[::-1]
 
 
-def _repair(roots, coeffs, p):
-    """The multiset behind one row whose plain roots miss p, or None: the
-    first candidate structure whose fit against p reproduces it."""
-    for v, counts in _structures(roots, coeffs):
-        u = _fit_multiset(v, counts, p)
-        if np.max(np.abs(_encode_sorted(u[None, :])[0] - p)) <= REPRODUCE_TOL:
-            return u
-    return None
+def _repair(roots, coeffs, P):
+    """Multisets behind rows whose plain roots miss their latents P, and which
+    rows they are found for: each row's first candidate structure, in the
+    order below, whose fit against its latent reproduces it.
+
+    A multiple root splays into a small complex ring, so first come the levels
+    of the roots' single-linkage dendrogram, finest first: every clustering
+    that merging roots within some radius could produce, so no radius schedule
+    can miss a level. Each cluster is replaced by its polished center: the
+    ring splays like eps^(1/multiplicity), but its mean is accurate to
+    coefficient-perturbation order, and polishing the mean on the
+    (multiplicity-1)-th derivative, where the center is a simple root,
+    sharpens it to full precision. Each level after the first merges the
+    closest pair of clusters (first minimum on ties) into one new cluster,
+    whose center is polished once; every other cluster keeps its center. A
+    level whose merged roots leave the real axis by more than IMAG_TOL or
+    [-1, 1] by more than DOMAIN_SLACK yields nothing.
+
+    Nearby multiple roots splay into overlapping rings no clustering can
+    separate, but the sorted real parts still split into blocks per true root,
+    with the widest gaps between blocks. So then come the M structures that
+    cut the sorted real parts at their j largest gaps, j = 0..M-1 (ties: lower
+    position first), each block at its mean; refusing an off-image row thus
+    costs at most 2M fits, not one per block composition.
+
+    The rows walk this order in lockstep: at each level, then at each cut,
+    every row still unresolved forms its candidate, and the rows whose fits
+    re-encode to their latents leave the walk. A row's merges, centers,
+    candidates and fits read only its own roots, coefficients and latent, so
+    it gets the result it would get alone. Cluster means and fits stay per
+    row: a masked batched sum would reorder the additions of a mean, and
+    np.linalg.lstsq takes no stack of matrices.
+    """
+    n, m = roots.shape
+    out, ok, live = np.zeros((n, m)), np.zeros(n, dtype=bool), np.arange(n)
+
+    def accept(rows, candidates):
+        if rows.size:
+            U = np.array([_fit_multiset(v, k, P[j]) for j, (v, k) in zip(rows, candidates)])
+            hit = np.max(np.abs(_encode_sorted(U) - P[rows]), axis=1) <= REPRODUCE_TOL
+            out[rows[hit]], ok[rows[hit]] = U[hit], True
+
+    labels, merged = np.tile(np.arange(m), (n, 1)), roots.copy()
+    dist = np.abs(roots[:, :, None] - roots[:, None, :])
+    for level in range(m):
+        live = live[~ok[live]]
+        if not live.size:
+            break
+        if level:
+            lab, at = labels[live], np.arange(live.size)
+            gap = np.where(lab[:, :, None] != lab[:, None, :], dist[live], np.inf)
+            a, b = np.divmod(np.argmin(gap.reshape(live.size, m * m), axis=1), m)
+            lab = np.where(lab == lab[at, b][:, None], lab[at, a][:, None], lab)
+            comp, labels[live] = lab == lab[at, a][:, None], lab
+            mu = np.array([np.mean(roots[j][c]) for j, c in zip(live, comp)])
+            d = np.abs(roots[live] - mu[:, None])
+            # the polished center may travel further than the cluster spread
+            # (the mean inherits the coefficient-perturbation error), but it
+            # must stay closer to the cluster than to any foreign root
+            leash = 4.0 * np.max(np.where(comp, d, -np.inf), axis=1)
+            rest = np.where(comp.all(axis=1), -np.inf, 0.5 * np.min(np.where(comp, np.inf, d), axis=1))
+            leash = np.where(rest > leash, rest, leash)
+            size, center = comp.sum(axis=1), np.empty(live.size, dtype=complex)
+            for k in np.unique(size):
+                center[size == k] = _polish_centers(coeffs[live[size == k]], mu[size == k], k, leash[size == k])
+            merged[live] = np.where(comp, center[:, None], merged[live])
+        z = merged[live]
+        inside = ~((np.max(np.abs(z.imag), axis=1) > IMAG_TOL) | (np.max(np.abs(z.real), axis=1) > 1.0 + DOMAIN_SLACK))
+        accept(live[inside], [np.unique(np.clip(u.real, -1.0, 1.0), return_counts=True) for u in z[inside]])
+    r = np.sort(roots.real, axis=1)
+    widest = np.argsort(-np.diff(r, axis=1), axis=1, kind="stable")
+    for j in range(m):
+        live = live[~ok[live]]
+        if not live.size:
+            break
+        cuts = [np.concatenate([[0], np.sort(widest[i, :j]) + 1, [m]]) for i in live]
+        accept(live, [([r[i, a:b].mean() for a, b in zip(c[:-1], c[1:])], np.diff(c)) for i, c in zip(live, cuts)])
+    return out, ok
 
 
 def _decode_batch_masked(P, m):
@@ -349,10 +361,8 @@ def _decode_batch_masked(P, m):
     out[rows[rep]] = cand[rep]
     ok[rows[rep]] = True
 
-    for j in np.flatnonzero(~ok[rows]):
-        u = _repair(roots[j], coeffs[j], P[rows[j]])
-        if u is not None:
-            out[rows[j]], ok[rows[j]] = u, True
+    miss = np.flatnonzero(~ok[rows])
+    out[rows[miss]], ok[rows[miss]] = _repair(roots[miss], coeffs[miss], P[rows[miss]])
     return out[inverse], ok[inverse]
 
 

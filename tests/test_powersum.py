@@ -170,22 +170,50 @@ def test_equal_latents_are_decoded_once_and_alike(monkeypatch):
         power_sum_decode_batch(bad, 6)
 
 
-def test_structures_polish_each_cluster_once(monkeypatch):
+def test_repair_polishes_each_cluster_once(monkeypatch):
     # each dendrogram level after the first merges two clusters into one new
     # cluster; every other cluster keeps its polished center from the level
-    # before, so a whole walk polishes M - 1 centers
-    calls = []
-    polish = powersum._polish_center
+    # before, so an off-image M = 8 row, which walks every level, polishes
+    # M - 1 = 7 centers, and a batch of such rows polishes 7 per row
+    polished = []
+    polish = powersum._polish_centers
 
     def counting(coeffs, mu, mult, leash):
-        calls.append(mult)
+        polished.append(len(mu))
         return polish(coeffs, mu, mult, leash)
 
-    monkeypatch.setattr(powersum, "_polish_center", counting)
-    coeffs = power_sums_to_monic(power_sum_encode([0.5] * 4 + [-0.5] * 4))
-    candidates = list(powersum._structures(aberth_roots(coeffs)[0], coeffs[0]))
-    assert len(candidates) > 8  # dendrogram levels, then the 8 gap cuts
-    assert len(calls) == 8 - 1
+    monkeypatch.setattr(powersum, "_polish_centers", counting)
+    rng = np.random.default_rng(7)
+    P = power_sum_encode_batch(rng.choice([-0.5, 0.5], size=(5, 8))) + rng.normal(0.0, 1e-3, size=(5, 8))
+    for k in (1, 5):
+        polished.clear()
+        coeffs = power_sums_to_monic(P[:k])
+        out, ok = powersum._repair(aberth_roots(coeffs), coeffs, P[:k])
+        assert not ok.any()
+        assert sum(polished) == k * (8 - 1)
+
+
+def test_repair_rows_independent_of_their_batch():
+    # the repair walk runs every failing row of a batch in lockstep; rows
+    # accepted at different dendrogram levels or at a gap cut, rows where a
+    # polished center leaves its leash, and refused rows must each decode to
+    # the bytes and flag of their one-row decode
+    rng = np.random.default_rng(12)
+    levels = list(itertools.combinations_with_replacement(np.linspace(-1.0, 1.0, 5), 8))
+    sets8 = [levels[i] for i in rng.choice(len(levels), size=12, replace=False)]
+    sets8 += [(0.5,) * 4 + (-0.5,) * 4, (0.12,) * 3 + (0.9, -0.4, -0.8, 0.0, 0.3)]
+    sets8 += [(0.0, -0.5) + (-1.0,) * 6, (1.0,) * 4 + (0.0,) + (-1.0,) * 3]  # accepted at a gap cut
+    sets8 += [(0.5, 0.0, 0.0, 0.0, -0.5, -1.0, -1.0, -1.0), (1.0, 0.5, 0.5, 0.5, 0.0, -0.5, -0.5, -0.5)]  # leashed
+    P8 = power_sum_encode_batch(np.array(sets8))
+    P3 = power_sum_encode_batch(np.array([[0.12] * 3, [-0.32] * 3, [0.5, 0.5, -1.0], [0.4, 0.4, -0.1]]))
+    for m, P in ((8, P8), (3, P3)):
+        P = np.vstack([P, P[:4] + rng.normal(0.0, 1e-3, size=(4, m))])  # mostly off the image
+        P = rng.permutation(P)
+        out, ok = powersum._decode_batch_masked(P, m)
+        assert ok.any() and not ok.all()
+        for i, p in enumerate(P):
+            one, one_ok = powersum._decode_batch_masked(p[None, :], m)
+            assert out[i].tobytes() == one[0].tobytes() and ok[i] == one_ok[0]
 
 
 def test_decode_examples():
