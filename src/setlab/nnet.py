@@ -1,9 +1,9 @@
 """Sum-pooled network models and a deterministic trainer.
 
 A model is rho(sum_i phi(x_i)) with both maps given by small dense networks.
-Evaluation canonicalizes the input and pools with compensated summation in
-sorted order, so the value is bit-identical under permutation. The trainer is
-seeded gradient descent with a cosine-decayed step on canonicalized uniform
+Evaluation canonicalizes the input and pools with the trainer's plain sum in
+that order, which makes the value bit-identical under permutation. The trainer
+is seeded gradient descent with a cosine-decayed step on canonicalized uniform
 samples plus a grid — deterministic to the parameter bits given the config.
 """
 
@@ -17,7 +17,6 @@ from ._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_fre
 from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
-from .powersum import kahan_sum
 from .sets import as_set_input, as_set_rows, f_star_batch
 
 TASKS = ("f_star", "max")
@@ -47,13 +46,13 @@ class DeepSetsModel:
         return PhiSpec("mlp", self.N, self.phi_net)
 
     def pooled(self, x):
-        """sum_i phi(x_i) over the canonical ordering, compensated summation."""
+        """sum_i phi(x_i) over the canonical ordering, summed as forward_trace sums."""
         return self.pooled_batch(as_set_input(x)[None, :])[0]
 
     def pooled_batch(self, X):
         """pooled on every row of X (n, M), bit for bit: Mlp.forward is row-invariant."""
         U = np.sort(as_set_rows(X), axis=1)[:, ::-1]  # canonical order, as canonicalize
-        return kahan_sum(self.phi_net.forward(U.reshape(-1, 1)).reshape(*U.shape, self.N), axis=1)
+        return self.phi_net.forward(U.reshape(-1, 1)).reshape(*U.shape, self.N).sum(axis=1)
 
     def __call__(self, x):
         return deepsets_eval(self, x)

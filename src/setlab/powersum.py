@@ -45,20 +45,6 @@ ABERTH_TOL = 1e-13
 FIT_STEPS = 12  # Gauss-Newton steps of each repair fit
 
 
-def kahan_sum(terms, axis=-1):
-    """Compensated summation along one axis (classic Kahan)."""
-    terms = np.asarray(terms, dtype=float)
-    terms = np.moveaxis(terms, axis, 0)
-    total = np.zeros(terms.shape[1:])
-    comp = np.zeros_like(total)
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total if total.shape else float(total)
-
-
 def _check_m(m):
     if not 1 <= m <= M_CAP:
         raise SizeError(f"set size {m} outside supported range 1..{M_CAP}")
@@ -78,9 +64,8 @@ def _latent_rows(P, m):
 def power_sum_encode(x):
     """Latent vector (sum_i x_i^q) for q = 1..M.
 
-    Inputs are sorted before accumulation and summed with compensation, so the
-    result is bit-for-bit identical across permutations of x.
-    """
+    Inputs are sorted before _encode_sorted's compensated accumulation, so the
+    result is bit-for-bit identical across permutations of x."""
     return power_sum_encode_batch(as_set_input(x)[None, :])[0]
 
 
@@ -92,16 +77,22 @@ def power_sum_encode_batch(X):
 
 
 def _encode_sorted(U, degree=None):
-    """Power sums q = 1..degree (default: the row length) of pre-sorted rows;
-    q-th powers built by cumulative products."""
-    n, m = U.shape
-    degree = m if degree is None else degree
-    out = np.empty((n, degree))
-    pw = U.copy()
+    """Power sums q = 1..degree (default: the row length) of pre-sorted rows: q-th
+    powers by cumulative products, each summed over the row in order with Kahan's
+    compensation, the only compensated sum in setlab. The codec's decode floors
+    are set by this latent's rounding, kept to about 2 eps of sum |x_i|^q."""
+    degree = U.shape[1] if degree is None else degree
+    out = np.empty((len(U), degree))
+    pw = np.ones_like(U)
     for q in range(degree):
-        out[:, q] = kahan_sum(pw, axis=1)
-        if q < degree - 1:
-            pw *= U
+        pw *= U
+        total = comp = np.zeros(len(U))
+        for t in pw.T:
+            y = t - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+        out[:, q] = total
     return out
 
 

@@ -199,11 +199,14 @@ def test_mlp_forward_is_row_invariant(n, fan_in, fan_out):
     np.testing.assert_array_equal(net.forward(X[n // 3 :]), batch[n // 3 :])
 
 
-def test_batched_model_evaluation_matches_single_sets():
-    phi = Mlp.init([1, 32, 32, 2], seed=7)
-    rho = Mlp.init([2, 32, 32, 1], seed=8)
-    model = DeepSetsModel(phi, 2, rho)
-    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, 3))  # rows not in canonical order
+# N = 1 with M >= 8 sums along a contiguous axis of 8 or more terms, where
+# NumPy unrolls the reduction; each row must still sum alone, in its order
+@pytest.mark.parametrize("N, M", [(2, 3), (1, 9), (1, 12), (3, 8)])
+def test_batched_model_evaluation_matches_single_sets(N, M):
+    phi = Mlp.init([1, 32, 32, N], seed=7)
+    rho = Mlp.init([N, 32, 32, 1], seed=8)
+    model = DeepSetsModel(phi, N, rho)
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, M))  # rows not in canonical order
     values = deepsets_eval_batch(model, X)
     pooled = model.pooled_batch(X)
     for i, x in enumerate(X):
@@ -364,8 +367,8 @@ def test_canonical_grid_shape_and_order():
 
 def test_grid_error_evaluates_like_deepsets_eval():
     # one evaluation path: the grid error is read off deepsets_eval's values;
-    # at this size the trainer's GEMM pass, pooled by plain summation, gives
-    # other bits
+    # at this size the trainer's GEMM pass gives other bits, though it pools
+    # with the same plain sum
     wide = dict(phi_hidden=(32, 32), rho_hidden=(32, 32))
     model, _ = train(_small_config(M=4, N=4, seed=0, epochs=5, **wide))
     for task, target in (("f_star", f_star), ("max", max)):
