@@ -12,6 +12,7 @@ from .collision import (
     left_shift_batch,
     load_certificate,
     pooled_encoding,
+    pooled_encoding_batch,
     save_certificate,
 )
 from .contours import emit_contour_grid, write_contour_csv

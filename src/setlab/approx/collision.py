@@ -17,7 +17,7 @@ import numpy as np
 
 from .._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_free_hash
 from ..errors import CertMismatch, ConfigError, DomainError, SearchExhausted, SizeError
-from ..sets import as_simplex, as_simplex_rows, build_face_pair, f_star
+from ..sets import as_set_input, as_set_rows, as_simplex, as_simplex_rows, build_face_pair, f_star
 
 NEWTON_STARTS = 256  # default search budget: sorted-Newton starts per search
 NEWTON_STEPS = 24  # damped-Newton steps per start
@@ -54,9 +54,14 @@ def left_shift(z):
     return left_shift_batch(as_simplex(z)[None, :])[0]
 
 
+def pooled_encoding_batch(phi, X):
+    """Phi = sum_i phi(x_i) on each row of X (n, M), in canonical order: the one pooled sum."""
+    return phi.eval(np.sort(as_set_rows(X), axis=1)[:, ::-1]).sum(axis=1)
+
+
 def pooled_encoding(phi, x):
-    """Phi(x) = sum_i phi(x_i)."""
-    return phi.eval(np.asarray(x, dtype=float)).sum(axis=0)
+    """Phi(x) of one set, bitwise permutation-invariant; DomainError off [-1, 1]."""
+    return pooled_encoding_batch(phi, as_set_input(x)[None, :])[0]
 
 
 @dataclass
@@ -126,8 +131,8 @@ def load_certificate(path):
 
 
 def _certificate(phi, z_star, trace):
-    plus, minus = build_face_pair(z_star)
-    residual = float(np.max(np.abs(pooled_encoding(phi, plus) - pooled_encoding(phi, minus))))
+    plus, minus = pooled_encoding_batch(phi, np.stack(build_face_pair(z_star)))
+    residual = float(np.max(np.abs(plus - minus)))
     return CollisionCertificate(z_star, residual, trace, phi.content_hash())
 
 
@@ -244,12 +249,19 @@ def find_collision(phi, tol_zero=1e-8, budget=NEWTON_STARTS, seed=0):
     when no enumerated point certifies. budget is the most sorted-Newton
     starts (default 256), drawn uniform in [-1, 1]^N one at a time from
     np.random.default_rng(seed), so a larger budget begins with the starts of
-    a smaller one; a budget below 1 is a SizeError.
+    a smaller one; a budget below 1 is a SizeError, a tol_zero that is not
+    finite and >= 0 a ConfigError, and an encoder that is not finite on
+    [-1, 1] (max|phi| overflows) a DomainError.
     """
     if budget < 1:
         raise SizeError(f"collision search needs a budget of at least 1 start; got {budget}")
+    if not 0 <= tol_zero < math.inf:
+        raise ConfigError(f"zero tolerance must be a finite number >= 0, got {tol_zero}")
     n = phi.N
-    scale = phi.scale()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = phi.scale()
+    if not math.isfinite(scale):
+        raise DomainError(f"encoder values overflow on [-1, 1]: max|phi| = {scale}")
     tol_cert = tol_zero * (1.0 + scale)
 
     # degenerate encoder: after the phi(-1) shift the field vanishes identically

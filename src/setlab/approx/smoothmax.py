@@ -21,7 +21,7 @@ def lse_max_batch(X, a):
     row i equals lse_max(X[i], a_i) bit for bit."""
     X = as_set_rows(X)
     a = np.asarray(a, dtype=float).reshape(-1)
-    if a.size not in (1, X.shape[0]) or not np.all(a > 0.0):
-        raise DomainError(f"sharpness must be one positive number or one per row, got {a}")
+    if a.size not in (1, X.shape[0]) or not np.all((a > 0.0) & (a < np.inf)):
+        raise DomainError(f"sharpness must be one positive finite number or one per row, got {a}")
     m = np.max(X, axis=1)
     return m + np.log(np.sum(np.exp(a[:, None] * (X - m[:, None])), axis=1)) / a

@@ -1,10 +1,10 @@
 """Sum-pooled network models and a deterministic trainer.
 
 A model is rho(sum_i phi(x_i)) with both maps given by small dense networks.
-Evaluation canonicalizes the input and pools with the trainer's plain sum in
-that order, which makes the value bit-identical under permutation. The trainer
-is seeded gradient descent with a cosine-decayed step on canonicalized uniform
-samples plus a grid — deterministic to the parameter bits given the config.
+Evaluation pools with approx.pooled_encoding_batch, the Phi that certificates
+use too: the trainer's plain sum over the canonical order, bit-identical under
+permutation. The trainer is seeded gradient descent with a cosine-decayed step
+on canonicalized uniform samples plus a grid, deterministic to the parameter bits.
 """
 
 import itertools
@@ -14,17 +14,18 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._jsonio import SCHEMA_VERSION, dump_file, json_fits, load_file, schema_free_hash
+from .approx.collision import pooled_encoding_batch
 from .approx.phispec import PhiSpec
 from .errors import ConfigError, DivergenceError, ShapeError
 from .mlp import Mlp
-from .sets import as_set_input, as_set_rows, f_star_batch
+from .sets import as_set_input, f_star_batch
 
 TASKS = ("f_star", "max")
 
 
 @dataclass
 class DeepSetsModel:
-    """rho(sum phi): an elementwise encoder net (1 -> N), summation, readout net (N -> 1)."""
+    """rho(Phi): an encoder net (1 -> N) pooled by pooled_encoding_batch, a readout net (N -> 1)."""
 
     phi_net: Mlp
     N: int
@@ -44,15 +45,6 @@ class DeepSetsModel:
     def encoder_spec(self):
         """The encoder as a declarative spec sharing this model's network."""
         return PhiSpec("mlp", self.N, self.phi_net)
-
-    def pooled(self, x):
-        """sum_i phi(x_i) over the canonical ordering, summed as forward_trace sums."""
-        return self.pooled_batch(as_set_input(x)[None, :])[0]
-
-    def pooled_batch(self, X):
-        """pooled on every row of X (n, M), bit for bit: Mlp.forward is row-invariant."""
-        U = np.sort(as_set_rows(X), axis=1)[:, ::-1]  # canonical order, as canonicalize
-        return self.phi_net.forward(U.reshape(-1, 1)).reshape(*U.shape, self.N).sum(axis=1)
 
     def __call__(self, x):
         return deepsets_eval(self, x)
@@ -95,7 +87,7 @@ class DeepSetsModel:
 
 def deepsets_eval_batch(model, X):
     """rho(sum phi) on every row of X (n, M); row i equals deepsets_eval(model, X[i])."""
-    return model.rho_net.forward(model.pooled_batch(X))[:, 0]
+    return model.rho_net.forward(pooled_encoding_batch(model.encoder_spec, X))[:, 0]
 
 
 def deepsets_eval(model, x):

@@ -410,10 +410,10 @@ class VarSizeCodec:
     filler: float = 2.0
 
     def __post_init__(self):
-        if not 1 <= self.M_max <= M_CAP:
-            raise SizeError(f"M_max must be in 1..{M_CAP}, got {self.M_max}")
-        if abs(self.filler) < 1.5:
-            raise DomainError(f"filler {self.filler} must clear [-1, 1] by at least 0.5")
+        if not (isinstance(self.M_max, (int, np.integer)) and 1 <= self.M_max <= M_CAP):
+            raise SizeError(f"M_max must be an integer in 1..{M_CAP}, got {self.M_max}")
+        if not 1.5 <= abs(self.filler) < np.inf:
+            raise DomainError(f"filler {self.filler} must be finite and clear [-1, 1] by 0.5 or more")
 
     def filler_powers(self):
         k = float(self.filler)

@@ -22,6 +22,7 @@ from setlab.approx import (
     nu_batch,
     nu_pair_batch,
     pooled_encoding,
+    pooled_encoding_batch,
     random_mlp_encoder,
     random_piecewise_linear,
     save_certificate,
@@ -48,10 +49,11 @@ def test_lse_max_examples():
 
 
 def test_lse_max_rejects_bad_sharpness():
-    with pytest.raises(DomainError):
-        lse_max([0.0], 0.0)
+    for a in (0.0, np.inf):
+        with pytest.raises(DomainError):
+            lse_max([0.1, 0.2], a)
     X = np.zeros((3, 2))
-    for a in (0.0, -1.0, np.nan, [2.0, 0.0, 2.0], [2.0, np.nan, 2.0], [2.0, 2.0]):
+    for a in (0.0, -1.0, np.nan, np.inf, [2.0, 0.0, 2.0], [2.0, np.nan, 2.0], [2.0, np.inf, 2.0], [2.0, 2.0]):
         with pytest.raises(DomainError):
             lse_max_batch(X, a)
 
@@ -367,6 +369,34 @@ def test_find_collision_size_check():
     for budget in (0, -3):
         with pytest.raises(SizeError):
             find_collision(monomial_family(2), budget=budget)
+
+
+def test_find_collision_refuses_bad_tolerance_and_overflowing_encoder():
+    # tol 0 stays legal; a tolerance that is not a finite number >= 0 would
+    # certify anything (inf) or nothing (nan, negative)
+    for tol in (math.inf, math.nan, -1.0):
+        with pytest.raises(ConfigError):
+            find_collision(monomial_family(2), tol_zero=tol)
+    # max|phi| overflows to inf, which no certificate tolerance can scale by;
+    # the check raises before any search and leaks no RuntimeWarning
+    with pytest.raises(DomainError):
+        find_collision(PhiSpec("polynomial", 2, [[1e308] * 2, [1e308] * 3]))
+
+
+def test_pooled_encoding_is_permutation_invariant_and_checks_its_domain():
+    rng = np.random.default_rng(3)
+    for phi in (monomial_family(3), random_piecewise_linear(2, seed=4), random_mlp_encoder(3, seed=5)):
+        X = rng.uniform(-1.0, 1.0, size=(50, 9))
+        X[:10, 1] = X[:10, 0]  # tied elements
+        batch = pooled_encoding_batch(phi, X)
+        for i, x in enumerate(X):
+            single = pooled_encoding(phi, x)
+            np.testing.assert_array_equal(single, batch[i])
+            np.testing.assert_array_equal(pooled_encoding(phi, rng.permutation(x)), single)
+        np.testing.assert_array_equal(pooled_encoding_batch(phi, X[:, ::-1]), batch)
+    for bad in ([5.0, -7.0], [0.5, np.nan], [[0.5, 0.25], [0.1, 0.2]], []):
+        with pytest.raises(DomainError):
+            pooled_encoding(shifted_linear(), bad)
 
 
 def test_certificate_round_trip(tmp_path):

@@ -14,7 +14,9 @@ import setlab
 from setlab import DeepSetsModel, Mlp, deepsets_eval
 from setlab._jsonio import dumps
 from setlab.approx import (
+    PhiSpec,
     load_certificate,
+    monomial_family,
     random_mlp_encoder,
     random_piecewise_linear,
     save_phispec,
@@ -483,6 +485,19 @@ def _collide_argv(f, out):
 
 def _contours_argv(f, out):
     return ["contours", f, "--resolution", "5", "--out", out]
+
+
+def test_collide_refuses_an_encoder_that_overflows(tmp_path):
+    # max|phi| is inf, which no zero tolerance can scale; refused before any search
+    spec = PhiSpec("polynomial", 2, [[1e308] * 2, [1e308] * 3]).to_config()
+    _refused_with_exit_two(tmp_path, _collide_argv, lambda: spec)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_collide_refuses_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, tol):
+    # inf would certify any point, nan and -1 none; tol 0 stays legal
+    argv = lambda f, out: ["collide", f, "--tol", tol, "--out", out]
+    _refused_with_exit_two(tmp_path, argv, monomial_family(2).to_config)
 
 
 # files whose N is a JSON value other than an integer, which int() would read

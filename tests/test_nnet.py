@@ -21,6 +21,7 @@ from setlab import (
     save_checkpoint,
     train,
 )
+from setlab.approx import error_lower_bound, find_collision, pooled_encoding, pooled_encoding_batch
 from setlab.approx.collision import gamma_batch
 from setlab.sets import f_star
 
@@ -208,12 +209,26 @@ def test_batched_model_evaluation_matches_single_sets(N, M):
     model = DeepSetsModel(phi, N, rho)
     X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(200, M))  # rows not in canonical order
     values = deepsets_eval_batch(model, X)
-    pooled = model.pooled_batch(X)
+    pooled = pooled_encoding_batch(model.encoder_spec, X)
     for i, x in enumerate(X):
         assert values[i] == deepsets_eval(model, x) == model(x)
-        np.testing.assert_array_equal(pooled[i], model.pooled(x))
+        np.testing.assert_array_equal(pooled[i], pooled_encoding(model.encoder_spec, x))
     np.testing.assert_array_equal(deepsets_eval_batch(model, X[:, ::-1]), values)
     np.testing.assert_array_equal(deepsets_eval_batch(model, X[::-1]), values[::-1])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_certificate_pools_with_the_models_own_phi(N):
+    # the bound is sound only if the certificate's Phi is the model's: its
+    # residual is the spread of the encoder net summed over x+ and x-, and
+    # the model reads out exactly those two pooled vectors
+    model = _random_model(N, seed=20 + N)
+    cert = find_collision(model.encoder_spec)
+    phi = [model.phi_net.forward(x[:, None]).sum(axis=0) for x in (cert.x_plus, cert.x_minus)]
+    assert cert.phi_residual == float(np.max(np.abs(phi[0] - phi[1])))
+    values = [deepsets_eval(model, x) for x in (cert.x_plus, cert.x_minus)]
+    assert values == [float(model.rho_net.forward(p[None, :])[0, 0]) for p in phi]
+    assert error_lower_bound(model, cert) == max(abs(values[0] - 1.0), abs(values[1] + 1.0))
 
 
 def test_batched_model_evaluation_validates_every_row():

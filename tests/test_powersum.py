@@ -435,8 +435,12 @@ def test_varsize_validation():
         varsize_encode(np.zeros(4), codec)
     with pytest.raises(DomainError):
         VarSizeCodec(M_max=3, filler=1.2)
-    with pytest.raises(SizeError):
-        VarSizeCodec(M_max=0)
+    for filler in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            VarSizeCodec(M_max=3, filler=filler)
+    for M_max in (0, 2.5):
+        with pytest.raises(SizeError):
+            VarSizeCodec(M_max=M_max)
     with pytest.raises(DomainError):
         varsize_decode(np.zeros(2), codec)
     with pytest.raises(InfeasibleLatent):
